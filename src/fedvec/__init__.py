@@ -12,7 +12,6 @@ from .features import ScalerParams, assemble_features, feature_dim, fit_scaler, 
 from .federation import (
     FederatedResult,
     RoutingDecision,
-    ShardUnavailableError,
     federated_search,
     generate_labels,
     naive_search,
@@ -24,10 +23,8 @@ from .metrics import (
     classifier_metrics,
     efficiency_summary,
     retrieval_recall,
-    write_report,
 )
 from .router import (
-    LabeledExample,
     ModelFormatError,
     RouterModel,
     TrainConfig,
@@ -44,7 +41,6 @@ __all__ = [
     "ClassifierMetrics",
     "EvalReport",
     "FederatedResult",
-    "LabeledExample",
     "ModelFormatError",
     "RouterModel",
     "RoutingDecision",
@@ -52,7 +48,6 @@ __all__ = [
     "ScoredHit",
     "ShardIndex",
     "ShardStats",
-    "ShardUnavailableError",
     "SplitSpec",
     "SyntheticSpec",
     "TrainConfig",
@@ -78,5 +73,4 @@ __all__ = [
     "split_by_query",
     "train",
     "transform",
-    "write_report",
 ]

@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,9 +36,13 @@ from .federation import (
     relevant_shards,
     result_from_hit_lists,
 )
-from .metrics import report_from_traces, render_report_files, summarize_latency
+from .metrics import (
+    report_from_traces,
+    render_report_files,
+    retrieval_recall,
+    summarize_latency,
+)
 from .router import (
-    LabeledExample,
     ModelFormatError,
     TrainConfig,
     load_model,
@@ -48,7 +51,7 @@ from .router import (
     train,
 )
 from .store import search_top_k
-from .vecio import VectorFileError, read_vectors, vector_file_bytes
+from .vecio import VectorFileError, manifest_bytes, read_vectors, vector_file_bytes
 
 
 class CliError(Exception):
@@ -88,6 +91,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             doc = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise CliError(f"config {args.config} is not a JSON object")
 
     seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
     k = args.k if args.k is not None else int(doc.get("k", 10))
@@ -98,24 +103,18 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if not 0.0 <= threshold <= 1.0:
         raise CliError("threshold must be in [0, 1]")
 
-    def build(cls, key: str, defaults: dict):
-        fields_doc = {**defaults, **doc.get(key, {})}
+    def build(cls, key: str):
+        block = doc.get(key, {})
+        if not isinstance(block, dict):
+            raise CliError(f"bad '{key}' config block: not a JSON object")
         try:
-            return cls(**fields_doc)
+            return cls(**{"seed": seed, **block})
         except TypeError as exc:
             raise CliError(f"bad '{key}' config block: {exc}") from exc
 
-    syn_doc = dict(doc.get("synthetic", {}))
-    if "points_per_cluster" in syn_doc:
-        syn_doc["points_per_cluster"] = tuple(syn_doc["points_per_cluster"])
-    syn_doc.setdefault("seed", seed)
-    try:
-        synthetic = SyntheticSpec(**syn_doc)
-    except TypeError as exc:
-        raise CliError(f"bad 'synthetic' config block: {exc}") from exc
-
-    train_cfg = build(TrainConfig, "train", {"seed": seed})
-    split = build(SplitSpec, "split", {"seed": seed})
+    synthetic = build(SyntheticSpec, "synthetic")
+    train_cfg = build(TrainConfig, "train")
+    split = build(SplitSpec, "split")
     return RunConfig(
         seed=seed,
         k=k,
@@ -146,13 +145,14 @@ def _write_all(files: dict[Path, bytes]) -> None:
         raise
 
 
-def _executor(n_shards: int) -> ThreadPoolExecutor | None:
-    cap = os.environ.get("FEDVEC_THREADS")
-    try:
-        workers = min(n_shards, int(cap)) if cap else min(n_shards, 8)
-    except ValueError as exc:
-        raise CliError(f"FEDVEC_THREADS must be an integer, got {cap!r}") from exc
-    return ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+def _read_queries(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a query file that must hold at least one query and unique ids."""
+    qids, qvecs = read_vectors(path)
+    if qids.size == 0:
+        raise CliError(f"{path}: no queries")
+    if np.unique(qids).size != qids.size:
+        raise CliError(f"{path}: duplicate query ids")
+    return qids, qvecs
 
 
 def cmd_synth(cfg: RunConfig) -> None:
@@ -166,15 +166,7 @@ def cmd_synth(cfg: RunConfig) -> None:
         shard_paths[shard.shard_id] = rel
         files[cfg.out / rel] = vector_file_bytes(shard.ids, shard.vectors)
 
-    manifest_doc = {
-        "dimension": cfg.synthetic.dim,
-        "shards": [
-            {"shard_id": sid, "path": shard_paths[sid]} for sid in sorted(shard_paths)
-        ],
-    }
-    files[cfg.out / "manifest.json"] = (
-        json.dumps(manifest_doc, indent=2, sort_keys=True) + "\n"
-    ).encode()
+    files[cfg.out / "manifest.json"] = manifest_bytes(cfg.synthetic.dim, shard_paths)
     files[cfg.queries_train] = vector_file_bytes(
         np.arange(len(data.train_queries)), data.train_queries
     )
@@ -204,28 +196,8 @@ def cmd_import(cfg: RunConfig, manifest: Path | None) -> None:
 
 def cmd_label(cfg: RunConfig) -> None:
     shards = import_shards(cfg.manifest)
-    qids, qvecs = read_vectors(cfg.queries_train)
-    executor = _executor(len(shards))
-    try:
-        examples = generate_labels(
-            shards, list(zip(qids.tolist(), qvecs)), cfg.k, executor
-        )
-    finally:
-        if executor:
-            executor.shutdown()
-
-    feat_dim = examples[0].features.shape[0]
-    table = np.zeros(
-        len(examples),
-        dtype=[
-            ("query_id", "<i8"),
-            ("shard_id", "<i8"),
-            ("label", "<i8"),
-            ("features", "<f8", (feat_dim,)),
-        ],
-    )
-    for i, ex in enumerate(examples):
-        table[i] = (ex.query_id, ex.shard_id, ex.label, ex.features)
+    qids, qvecs = _read_queries(cfg.queries_train)
+    table = generate_labels(shards, list(zip(qids.tolist(), qvecs)), cfg.k)
 
     buf = io.BytesIO()
     np.save(buf, table)
@@ -234,31 +206,18 @@ def cmd_label(cfg: RunConfig) -> None:
     n_pos = int(table["label"].sum())
     per_query = table["label"].reshape(len(qids), len(shards)).sum(axis=1)
     print(
-        f"label: {len(examples)} rows ({len(qids)} queries x {len(shards)} shards), "
-        f"{n_pos} positive ({100.0 * n_pos / len(examples):.1f}%), "
+        f"label: {len(table)} rows ({len(qids)} queries x {len(shards)} shards), "
+        f"{n_pos} positive ({100.0 * n_pos / len(table):.1f}%), "
         f"mean relevant shards/query {per_query.mean():.2f}"
     )
 
 
-def _load_examples(path: Path) -> list[LabeledExample]:
-    try:
-        table = np.load(path)
-    except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read labels {path}: {exc}") from exc
-    return [
-        LabeledExample(
-            features=row["features"].copy(),
-            label=int(row["label"]),
-            query_id=int(row["query_id"]),
-            shard_id=int(row["shard_id"]),
-        )
-        for row in table
-    ]
-
-
 def cmd_train(cfg: RunConfig) -> None:
-    examples = _load_examples(cfg.labels_path)
-    result = train(examples, cfg.split, cfg.train)
+    try:
+        table = np.load(cfg.labels_path)
+    except (OSError, ValueError) as exc:
+        raise CliError(f"cannot read labels {cfg.labels_path}: {exc}") from exc
+    result = train(table["features"], table["label"], table["query_id"], cfg.split, cfg.train)
 
     log_lines = ["epoch,train_loss,val_accuracy,lr_start,lr_end"]
     for e in result.history:
@@ -273,17 +232,15 @@ def cmd_train(cfg: RunConfig) -> None:
     )
     best = result.history[result.best_epoch - 1]
     print(
-        f"train: {len(result.history)} epochs on {len(examples)} rows; "
+        f"train: {len(result.history)} epochs on {len(table)} rows; "
         f"best epoch {result.best_epoch} (val accuracy {best.val_accuracy:.4f}) -> {cfg.model_path}"
     )
 
 
 def cmd_eval(cfg: RunConfig) -> None:
     shards = import_shards(cfg.manifest)
-    if any(s is None for s in shards):
-        raise CliError("manifest contains unavailable shards")
     model = load_model(cfg.model_path)
-    qids, qvecs = read_vectors(cfg.queries_train)
+    qids, qvecs = _read_queries(cfg.queries_train)
     _, _, test_q = split_by_query(qids, cfg.split)
     keep = np.isin(qids, sorted(test_q))
     qids, qvecs = qids[keep], qvecs[keep]
@@ -293,91 +250,80 @@ def cmd_eval(cfg: RunConfig) -> None:
     stats = [s.stats for s in shards]
     dim = shards[0].dim
     n_shards = len(shards)
-    executor = _executor(n_shards)
     traces: list[dict] = []
     route_latencies: list[int] = []
 
-    def fan_out(query: np.ndarray) -> list:
-        if executor is not None:
-            return list(executor.map(lambda s: search_top_k(s, query, cfg.k), shards))
-        return [search_top_k(s, query, cfg.k) for s in shards]
+    for qid, query in zip(qids.tolist(), qvecs):
+        hit_lists = [search_top_k(s, query, cfg.k) for s in shards]
 
-    try:
-        for qid, query in zip(qids.tolist(), qvecs):
-            hit_lists = fan_out(query)
+        all_selected = decision_from_probabilities(qid, np.ones(n_shards), 0.5)
+        naive_res = result_from_hit_lists(all_selected, hit_lists, dim, cfg.k)
+        # The naive top-k is a merge of the per-shard lists, so a shard's
+        # share of it is the count of its hits there.
+        shard_recall = [
+            sum(h.shard_id == s.shard_id for h in naive_res.hits) / len(naive_res.hits)
+            for s in shards
+        ]
+        relevant = relevant_shards(naive_res.hits, shards)
 
-            all_selected = decision_from_probabilities(qid, np.ones(n_shards), 0.5)
-            naive_res = result_from_hit_lists(all_selected, hit_lists, dim, cfg.k)
-            truth_ids = {(h.shard_id, h.vector_id) for h in naive_res.hits}
-            shard_recall = [
-                len({(h.shard_id, h.vector_id) for h in hits} & truth_ids) / len(truth_ids)
-                for hits in hit_lists
-            ]
-            relevant = relevant_shards(naive_res.hits, shards)
+        oracle = oracle_decision(qid, relevant.astype(bool), n_shards)
+        oracle_res = result_from_hit_lists(oracle, hit_lists, dim, cfg.k)
 
-            oracle = oracle_decision(qid, relevant.astype(bool), n_shards)
-            oracle_res = result_from_hit_lists(oracle, hit_lists, dim, cfg.k)
+        rows = np.stack([assemble_features(query, s) for s in stats])
+        t0 = time.perf_counter_ns()
+        probs = predict_batch(model, rows)
+        latency = time.perf_counter_ns() - t0
+        route_latencies.append(latency)
+        decision = decision_from_probabilities(qid, probs, cfg.threshold)
+        pred_res = result_from_hit_lists(decision, hit_lists, dim, cfg.k)
 
-            rows = np.stack([assemble_features(query, s) for s in stats])
-            t0 = time.perf_counter_ns()
-            probs = predict_batch(model, rows)
-            latency = time.perf_counter_ns() - t0
-            route_latencies.append(latency)
-            decision = decision_from_probabilities(qid, probs, cfg.threshold)
-            pred_res = result_from_hit_lists(decision, hit_lists, dim, cfg.k)
-            pred_ids = {(h.shard_id, h.vector_id) for h in pred_res.hits}
-            oracle_ids = {(h.shard_id, h.vector_id) for h in oracle_res.hits}
-
-            base = {"query_id": qid, "k": cfg.k, "latency_ns": 0}
-            traces.append(
-                base
-                | {
-                    "strategy": "naive",
-                    "probabilities": None,
-                    "selected": [1] * n_shards,
-                    "relevant": None,
-                    "m": naive_res.shards_queried,
-                    "embeddings_returned": naive_res.embeddings_returned,
-                    "bytes_moved": naive_res.bytes_moved,
-                    "recall": 1.0,
-                    "shard_recalls": shard_recall,
-                    "fallback_used": False,
-                }
-            )
-            traces.append(
-                base
-                | {
-                    "strategy": "oracle",
-                    "probabilities": None,
-                    "selected": [int(v) for v in oracle.selected],
-                    "relevant": None,
-                    "m": oracle_res.shards_queried,
-                    "embeddings_returned": oracle_res.embeddings_returned,
-                    "bytes_moved": oracle_res.bytes_moved,
-                    "recall": len(oracle_ids & truth_ids) / len(truth_ids),
-                    "shard_recalls": None,
-                    "fallback_used": False,
-                }
-            )
-            traces.append(
-                base
-                | {
-                    "strategy": "predicted",
-                    "probabilities": [float(p) for p in probs],
-                    "selected": [int(v) for v in decision.selected],
-                    "relevant": [int(v) for v in relevant],
-                    "m": pred_res.shards_queried,
-                    "embeddings_returned": pred_res.embeddings_returned,
-                    "bytes_moved": pred_res.bytes_moved,
-                    "recall": len(pred_ids & truth_ids) / len(truth_ids),
-                    "shard_recalls": None,
-                    "fallback_used": decision.fallback_used,
-                    "latency_ns": latency,
-                }
-            )
-    finally:
-        if executor:
-            executor.shutdown()
+        base = {"query_id": qid, "k": cfg.k, "latency_ns": 0}
+        traces.append(
+            base
+            | {
+                "strategy": "naive",
+                "probabilities": None,
+                "selected": [1] * n_shards,
+                "relevant": None,
+                "m": naive_res.shards_queried,
+                "embeddings_returned": naive_res.embeddings_returned,
+                "bytes_moved": naive_res.bytes_moved,
+                "recall": 1.0,
+                "shard_recalls": shard_recall,
+                "fallback_used": False,
+            }
+        )
+        traces.append(
+            base
+            | {
+                "strategy": "oracle",
+                "probabilities": None,
+                "selected": [int(v) for v in oracle.selected],
+                "relevant": None,
+                "m": oracle_res.shards_queried,
+                "embeddings_returned": oracle_res.embeddings_returned,
+                "bytes_moved": oracle_res.bytes_moved,
+                "recall": retrieval_recall(oracle_res, naive_res),
+                "shard_recalls": None,
+                "fallback_used": False,
+            }
+        )
+        traces.append(
+            base
+            | {
+                "strategy": "predicted",
+                "probabilities": [float(p) for p in probs],
+                "selected": [int(v) for v in decision.selected],
+                "relevant": [int(v) for v in relevant],
+                "m": pred_res.shards_queried,
+                "embeddings_returned": pred_res.embeddings_returned,
+                "bytes_moved": pred_res.bytes_moved,
+                "recall": retrieval_recall(pred_res, naive_res),
+                "shard_recalls": None,
+                "fallback_used": decision.fallback_used,
+                "latency_ns": latency,
+            }
+        )
 
     # Batch-32 inference figure: median of 100 timed runs on real feature rows.
     bench_rows = np.stack([assemble_features(qvecs[i % len(qvecs)], stats[i % n_shards]) for i in range(32)])

@@ -31,6 +31,10 @@ class SyntheticSpec:
     n_eval_queries: int = 500
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # JSON configs give the range as a list.
+        object.__setattr__(self, "points_per_cluster", tuple(self.points_per_cluster))
+
     def validate(self) -> None:
         lo, hi = self.points_per_cluster
         if min(self.n_clusters, self.dim, lo, hi, self.n_train_queries) < 1:

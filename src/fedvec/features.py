@@ -20,18 +20,12 @@ def feature_dim(d: int) -> int:
     return 2 * d + 3
 
 
-def assemble_features(
-    query: np.ndarray, stats: ShardStats, distance: str = "squared"
-) -> np.ndarray:
+def assemble_features(query: np.ndarray, stats: ShardStats) -> np.ndarray:
     """Build the raw (unstandardized) feature row for one (query, shard) pair."""
     query = np.asarray(query, dtype=np.float64)
     if query.ndim != 1:
         raise ValueError("query must be a 1-D embedding")
     dist = shard_distance(query, stats)
-    if distance == "euclidean":
-        dist = float(np.sqrt(dist))
-    elif distance != "squared":
-        raise ValueError(f"unknown distance mode {distance!r}")
     row = np.concatenate(
         [query, stats.centroid, [dist, float(stats.count), stats.density]]
     )
@@ -65,10 +59,3 @@ def transform(params: ScalerParams, rows: np.ndarray) -> np.ndarray:
         raise ValueError("feature width does not match scaler")
     return (rows - params.mean) / params.std
 
-
-def inverse_transform(params: ScalerParams, rows: np.ndarray) -> np.ndarray:
-    """Undo `transform`."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.shape[-1] != params.mean.shape[0]:
-        raise ValueError("feature width does not match scaler")
-    return rows * params.std + params.mean

@@ -2,27 +2,20 @@
 
 Byte accounting models the wire format: every contacted shard receives an
 8-byte query id plus d float32 coordinates, and each returned embedding costs
-an 8-byte id plus d float32 coordinates. Merging is arrival-order independent,
-so concurrent fan-out cannot change results.
+an 8-byte id plus d float32 coordinates. Merging sorts under a total order,
+so results do not depend on the order shards are searched in.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .features import assemble_features
-from .router import LabeledExample, RouterModel, predict_batch
+from .features import assemble_features, feature_dim
+from .router import RouterModel, predict_batch
 from .store import ScoredHit, ShardIndex, ShardStats, search_top_k
-
-
-class ShardUnavailableError(Exception):
-    def __init__(self, shard_id: int):
-        super().__init__(f"shard {shard_id} is unavailable")
-        self.shard_id = shard_id
 
 
 @dataclass(frozen=True)
@@ -103,40 +96,25 @@ def result_from_hit_lists(
 
 def federated_search(
     decision: RoutingDecision,
-    shards: Sequence[ShardIndex | None],
+    shards: Sequence[ShardIndex],
     query: np.ndarray,
     k: int,
-    executor: Executor | None = None,
 ) -> FederatedResult:
-    """Query the selected shards (concurrently if an executor is given),
-    merge their top-k lists, and account the bytes moved."""
+    """Query the selected shards, merge their top-k lists, and account the
+    bytes moved."""
     if decision.selected.shape[0] != len(shards):
         raise ValueError("decision does not align with the shard sequence")
-    picked: list[ShardIndex] = []
-    for i in np.flatnonzero(decision.selected):
-        if shards[i] is None:
-            raise ShardUnavailableError(int(i))
-        picked.append(shards[i])
-
-    if executor is not None and len(picked) > 1:
-        searched = list(executor.map(lambda s: search_top_k(s, query, k), picked))
-    else:
-        searched = [search_top_k(s, query, k) for s in picked]
-
-    # Re-expand to one list per shard position so the merge helper can align.
     hit_lists: list[list[ScoredHit]] = [[] for _ in shards]
-    for idx, hits in zip(np.flatnonzero(decision.selected), searched):
-        hit_lists[idx] = hits
-    dim = picked[0].dim if picked else len(np.atleast_1d(query))
-    return result_from_hit_lists(decision, hit_lists, dim, k)
+    for i in np.flatnonzero(decision.selected):
+        hit_lists[i] = search_top_k(shards[i], query, k)
+    return result_from_hit_lists(decision, hit_lists, np.size(query), k)
 
 
 def naive_search(
     query_id: int,
-    shards: Sequence[ShardIndex | None],
+    shards: Sequence[ShardIndex],
     query: np.ndarray,
     k: int,
-    executor: Executor | None = None,
 ) -> FederatedResult:
     """Broadcast to every shard; the recall reference for all routing."""
     decision = RoutingDecision(
@@ -145,7 +123,7 @@ def naive_search(
         selected=np.ones(len(shards), dtype=bool),
         fallback_used=False,
     )
-    return federated_search(decision, shards, query, k, executor)
+    return federated_search(decision, shards, query, k)
 
 
 def oracle_decision(
@@ -179,21 +157,24 @@ def generate_labels(
     shards: Sequence[ShardIndex],
     queries: Sequence[tuple[int, np.ndarray]],
     k: int,
-    executor: Executor | None = None,
-) -> list[LabeledExample]:
-    """One labeled (query, shard) row per pair: Q queries over n shards
-    yield exactly Q*n examples, labels derived from the naive global top-k."""
-    examples: list[LabeledExample] = []
+) -> np.ndarray:
+    """The labels table: one (query, shard) row per pair, query-major, so Q
+    queries over n shards yield exactly Q*n rows. A row's label is 1 iff the
+    shard placed a hit in the query's naive global top-k."""
+    if not shards:
+        raise ValueError("no shards to label")
+    dtype = [
+        ("query_id", "<i8"),
+        ("shard_id", "<i8"),
+        ("label", "<i8"),
+        ("features", "<f8", (feature_dim(shards[0].dim),)),
+    ]
+    table = np.zeros(len(queries) * len(shards), dtype=dtype)
+    row = 0
     for query_id, query in queries:
-        result = naive_search(query_id, shards, query, k, executor)
+        result = naive_search(query_id, shards, query, k)
         labels = relevant_shards(result.hits, shards)
         for shard, label in zip(shards, labels):
-            examples.append(
-                LabeledExample(
-                    features=assemble_features(query, shard.stats),
-                    label=int(label),
-                    query_id=query_id,
-                    shard_id=shard.shard_id,
-                )
-            )
-    return examples
+            table[row] = (query_id, shard.shard_id, label, assemble_features(query, shard.stats))
+            row += 1
+    return table

@@ -12,7 +12,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -180,7 +179,7 @@ def quality_bar(aggregate: dict, classifier: dict) -> dict:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Plain-container report; equality-safe and JSON round-trippable."""
+    """Plain-container report; `to_dict` is what report.json holds."""
 
     aggregate: dict
     classifier: dict
@@ -197,17 +196,6 @@ class EvalReport:
             "per_query": self.per_query,
             "quality": self.quality,
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict, latency: dict | None = None) -> "EvalReport":
-        return cls(
-            aggregate=doc["aggregate"],
-            classifier=doc["classifier"],
-            recall_by_shard=doc["recall_by_shard"],
-            per_query=doc["per_query"],
-            quality=doc["quality"],
-            latency=latency,
-        )
 
 
 _METRIC_KEYS = ("accuracy", "precision", "recall", "f1", "auc")
@@ -326,23 +314,6 @@ def render_report_files(report: EvalReport) -> dict[str, bytes]:
             json.dumps(report.latency, indent=2, sort_keys=True) + "\n"
         ).encode()
     return files
-
-
-def write_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
-    """Write report.json and the CSV views; returns the paths written."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for name, blob in render_report_files(report).items():
-        path = out_dir / name
-        path.write_bytes(blob)
-        paths.append(path)
-    return paths
-
-
-def read_report(path: str | Path) -> EvalReport:
-    """Load report.json back into an EvalReport (latency stays external)."""
-    return EvalReport.from_dict(json.loads(Path(path).read_text()))
 
 
 def summarize_latency(latencies_ns: Sequence[int], batch32_ns: float | None = None) -> dict:

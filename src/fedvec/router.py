@@ -31,16 +31,6 @@ class ModelFormatError(Exception):
     """Unreadable, corrupted, or wrong-version model file."""
 
 
-@dataclass(frozen=True)
-class LabeledExample:
-    """One (query, shard) training row: raw features and a relevance label."""
-
-    features: np.ndarray
-    label: int  # 1 iff the shard contributed to the query's global top-k
-    query_id: int
-    shard_id: int
-
-
 @dataclass
 class RouterParams:
     """Learnable arrays. ln_g*/ln_b* are the LayerNorm gain and bias."""
@@ -322,15 +312,24 @@ def cyclic_lr(step: int, lr_min: float, lr_max: float, half_cycle: int) -> float
 
 
 def train(
-    examples: list[LabeledExample], split: SplitSpec, config: TrainConfig
+    features: np.ndarray,
+    labels: np.ndarray,
+    query_ids: np.ndarray,
+    split: SplitSpec,
+    config: TrainConfig,
 ) -> TrainResult:
     """Train on the split's train questions, checkpointing on val accuracy.
 
+    Row i is raw feature row features[i] (n, f) of question query_ids[i],
+    labelled labels[i] (1 iff the shard holds part of the global top-k).
     The scaler and the default pos_weight are fit on the training split only.
     The returned model is the epoch checkpoint with the highest validation
     accuracy at threshold 0.5 (earliest epoch wins ties).
     """
-    if not examples:
+    x_raw = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    qids = np.asarray(query_ids, dtype=np.int64)
+    if x_raw.ndim != 2 or x_raw.shape[0] == 0:
         raise ValueError("no training examples")
     if config.epochs < 1 or config.batch_size < 1:
         raise ValueError("epochs and batch_size must be positive")
@@ -338,10 +337,6 @@ def train(
         raise ValueError("dropout_rate must be in [0, 1)")
     if not 0.0 < config.lr_min <= config.lr_max:
         raise ValueError("need 0 < lr_min <= lr_max")
-
-    x_raw = np.stack([ex.features for ex in examples])
-    y = np.array([ex.label for ex in examples], dtype=np.float64)
-    qids = np.array([ex.query_id for ex in examples], dtype=np.int64)
 
     train_q, val_q, _ = split_by_query(qids, split)
     in_train = np.isin(qids, sorted(train_q))

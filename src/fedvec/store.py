@@ -43,31 +43,20 @@ def squared_distances(vectors: np.ndarray, query: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", diff, diff)
 
 
-def shard_stats(vectors: np.ndarray, density: str = "inverse_mean_distance") -> ShardStats:
+def shard_stats(vectors: np.ndarray) -> ShardStats:
     """Compute centroid, count, and density for a (n, d) member matrix.
 
-    density="inverse_mean_distance" is 1/(1 + mean Euclidean distance of
-    members to the centroid): bounded in (0, 1], 1 for a singleton, and
-    monotone in how tightly packed the shard is. "mean_distance" exposes the
-    raw mean distance for comparison runs.
+    Density is 1/(1 + mean Euclidean distance of members to the centroid):
+    bounded in (0, 1], 1 for a singleton, and monotone in how tightly packed
+    the shard is.
     """
     centroid = vectors.mean(axis=0)
     mean_dist = float(np.mean(np.sqrt(squared_distances(vectors, centroid))))
-    if density == "inverse_mean_distance":
-        dens = 1.0 / (1.0 + mean_dist)
-    elif density == "mean_distance":
-        dens = mean_dist
-    else:
-        raise ValueError(f"unknown density mode {density!r}")
-    return ShardStats(centroid=centroid, count=vectors.shape[0], density=dens)
+    density = 1.0 / (1.0 + mean_dist)
+    return ShardStats(centroid, vectors.shape[0], density)
 
 
-def build_index(
-    shard_id: int,
-    ids: np.ndarray,
-    vectors: np.ndarray,
-    density: str = "inverse_mean_distance",
-) -> ShardIndex:
+def build_index(shard_id: int, ids: np.ndarray, vectors: np.ndarray) -> ShardIndex:
     """Validate one shard's vectors and build its flat index."""
     vectors = np.ascontiguousarray(np.asarray(vectors, dtype=np.float64))
     ids = np.asarray(ids, dtype=np.int64)
@@ -81,7 +70,7 @@ def build_index(
         raise ValueError(f"shard {shard_id}: non-finite coordinates")
     vectors.setflags(write=False)
     ids.setflags(write=False)
-    return ShardIndex(shard_id, ids, vectors, shard_stats(vectors, density))
+    return ShardIndex(shard_id, ids, vectors, shard_stats(vectors))
 
 
 def search_top_k(index: ShardIndex, query: np.ndarray, k: int) -> list[ScoredHit]:

@@ -67,15 +67,15 @@ def _record_dtype(dim: int) -> np.dtype:
     return np.dtype([("id", "<u8"), ("vec", "<f4", (dim,))])
 
 
-def write_manifest(path: str | Path, dimension: int, shard_paths: dict[int, str]) -> None:
-    """Write the shard manifest; paths are stored relative to the manifest."""
+def manifest_bytes(dimension: int, shard_paths: dict[int, str]) -> bytes:
+    """Serialize the shard manifest; paths must be relative to its directory."""
     doc = {
         "dimension": int(dimension),
         "shards": [
             {"shard_id": sid, "path": shard_paths[sid]} for sid in sorted(shard_paths)
         ],
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
 def read_manifest(path: str | Path) -> tuple[int, list[tuple[int, Path]]]:

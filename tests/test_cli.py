@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fedvec.cli import main
+from fedvec.vecio import write_vectors
 
 CONFIG = {
     "seed": 21,
@@ -37,6 +38,14 @@ def zero_latency(traces_text):
     for row in rows:
         row["latency_ns"] = 0
     return rows
+
+
+def trained_run_with_queries(tmp, ids):
+    """A trained run whose queries_train file is then replaced by `ids`."""
+    (tmp / "cfg.json").write_text(json.dumps(CONFIG))
+    for command in ("synth", "label", "train"):
+        assert run(tmp, "--config", "cfg.json", command) == 0
+    write_vectors(tmp / "run" / "queries_train.fvr", ids, np.zeros((len(ids), 4)))
 
 
 @pytest.fixture(scope="module")
@@ -113,16 +122,6 @@ class TestPipeline:
         assert lines[0].startswith("import: 3 shards")
         assert sum("density" in line for line in lines) == 3
 
-    def test_thread_cap_does_not_change_results(self, pipeline, monkeypatch):
-        out = pipeline / "run"
-        want = (out / "report.json").read_bytes()
-        monkeypatch.setenv("FEDVEC_THREADS", "1")
-        assert run(pipeline, "--config", "cfg.json", "eval") == 0
-        assert (out / "report.json").read_bytes() == want
-        monkeypatch.setenv("FEDVEC_THREADS", "4")
-        assert run(pipeline, "--config", "cfg.json", "eval") == 0
-        assert (out / "report.json").read_bytes() == want
-
     def test_seed_flag_changes_synth_output(self, pipeline):
         base = (pipeline / "run" / "queries_train.fvr").read_bytes()
         assert run(pipeline, "--config", "cfg.json", "--seed", "99",
@@ -144,18 +143,30 @@ class TestFailures:
         assert "cannot read config" in capsys.readouterr().err
 
     def test_bad_config_block(self, tmp_path, capsys):
-        (tmp_path / "cfg.json").write_text(
-            json.dumps({"train": {"epochs": 2, "no_such_field": 1}})
-        )
-        assert run(tmp_path, "--config", "cfg.json", "synth") == 2
-        assert "bad 'train' config block" in capsys.readouterr().err
+        cases = [
+            ({"train": {"epochs": 2, "no_such_field": 1}}, "bad 'train' config block"),
+            ({"train": 5}, "bad 'train' config block"),
+            ({"split": [0.3, 0.1, 0.6]}, "bad 'split' config block"),
+            ({"synthetic": "small"}, "bad 'synthetic' config block"),
+            ({"synthetic": {"points_per_cluster": 5}}, "bad 'synthetic' config block"),
+            ([1, 2], "is not a JSON object"),
+        ]
+        for doc, message in cases:
+            (tmp_path / "cfg.json").write_text(json.dumps(doc))
+            assert run(tmp_path, "--config", "cfg.json", "synth") == 2, doc
+            assert message in capsys.readouterr().err, doc
 
-    def test_threads_env_must_be_integer(self, tmp_path, monkeypatch, capsys):
-        (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
-        assert run(tmp_path, "--config", "cfg.json", "synth") == 0
-        monkeypatch.setenv("FEDVEC_THREADS", "lots")
-        assert run(tmp_path, "--config", "cfg.json", "label") == 2
-        assert "FEDVEC_THREADS" in capsys.readouterr().err
+    def test_empty_query_file(self, tmp_path, capsys):
+        trained_run_with_queries(tmp_path, np.zeros(0, dtype=np.int64))
+        for command in ("label", "eval"):
+            assert run(tmp_path, "--config", "cfg.json", command) == 2
+            assert "no queries" in capsys.readouterr().err
+
+    def test_duplicate_query_ids(self, tmp_path, capsys):
+        trained_run_with_queries(tmp_path, np.array([0, 1, 2, 3, 2] * 4))
+        for command in ("label", "eval"):
+            assert run(tmp_path, "--config", "cfg.json", command) == 2
+            assert "duplicate query ids" in capsys.readouterr().err
 
     def test_corrupt_manifest(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -12,7 +12,7 @@ from fedvec.datasets import (
     kmeans_shard,
     split_by_query,
 )
-from fedvec.vecio import write_manifest, write_vectors
+from fedvec.vecio import manifest_bytes, write_vectors
 
 
 def four_blobs(per_blob=25, seed=19):
@@ -187,7 +187,7 @@ class TestImport:
             vectors = rng.standard_normal((5, 3))
             write_vectors(tmp_path / f"s{sid}.fvr", ids, vectors)
             written[sid] = (ids, vectors)
-        write_manifest(tmp_path / "manifest.json", 3, {0: "s0.fvr", 1: "s1.fvr"})
+        (tmp_path / "manifest.json").write_bytes(manifest_bytes(3, {0: "s0.fvr", 1: "s1.fvr"}))
         shards = import_shards(tmp_path / "manifest.json")
         assert [s.shard_id for s in shards] == [0, 1]
         for shard in shards:
@@ -200,6 +200,6 @@ class TestImport:
 
     def test_dimension_mismatch(self, tmp_path):
         write_vectors(tmp_path / "s0.fvr", np.arange(4), np.zeros((4, 2)))
-        write_manifest(tmp_path / "manifest.json", 3, {0: "s0.fvr"})
+        (tmp_path / "manifest.json").write_bytes(manifest_bytes(3, {0: "s0.fvr"}))
         with pytest.raises(ValueError, match="dimension 2 != manifest 3"):
             import_shards(tmp_path / "manifest.json")

@@ -9,7 +9,6 @@ from fedvec.features import (
     assemble_features,
     feature_dim,
     fit_scaler,
-    inverse_transform,
     transform,
 )
 from fedvec.store import ShardStats, shard_stats
@@ -39,16 +38,6 @@ class TestAssembleFeatures:
         assert row[65] == 40.0
         assert row[66] == stats.density
 
-    def test_euclidean_mode(self):
-        stats = ShardStats(centroid=np.array([3.0, 4.0]), count=1, density=1.0)
-        row = assemble_features(np.zeros(2), stats, distance="euclidean")
-        assert row[2 * 2] == pytest.approx(5.0)
-
-    def test_bad_distance_mode(self):
-        stats = ShardStats(centroid=np.zeros(2), count=1, density=1.0)
-        with pytest.raises(ValueError):
-            assemble_features(np.zeros(2), stats, distance="taxicab")
-
     def test_rejects_matrix_query(self):
         stats = ShardStats(centroid=np.zeros(2), count=1, density=1.0)
         with pytest.raises(ValueError):
@@ -76,13 +65,6 @@ class TestScaler:
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-12)
 
-    def test_inverse_recovers_rows(self):
-        rng = np.random.default_rng(7)
-        rows = rng.normal(-2.0, 10.0, size=(50, 5))
-        params = fit_scaler(rows)
-        back = inverse_transform(params, transform(params, rows))
-        np.testing.assert_allclose(back, rows, atol=1e-9)
-
     def test_single_row_transform_shape(self):
         rows = np.random.default_rng(1).standard_normal((10, 4))
         params = fit_scaler(rows)
@@ -96,5 +78,3 @@ class TestScaler:
         params = ScalerParams(mean=np.zeros(3), std=np.ones(3))
         with pytest.raises(ValueError):
             transform(params, np.zeros(4))
-        with pytest.raises(ValueError):
-            inverse_transform(params, np.zeros(4))

@@ -14,12 +14,10 @@ from fedvec.metrics import (
     classifier_metrics,
     efficiency_summary,
     quality_bar,
-    read_report,
     report_from_traces,
     render_report_files,
     retrieval_recall,
     summarize_latency,
-    write_report,
 )
 from fedvec.store import ScoredHit
 
@@ -186,12 +184,6 @@ class TestReport:
     def test_mismatched_query_coverage(self):
         with pytest.raises(ValueError, match="different queries"):
             report_from_traces(TRACES[:-1], n_shards=3)  # predicted q1 missing
-
-    def test_write_read_round_trip(self, tmp_path):
-        report = report_from_traces(TRACES, n_shards=3)
-        write_report(report, tmp_path)
-        back = read_report(tmp_path / "report.json")
-        assert back.to_dict() == report.to_dict()
 
     def test_rendering_is_deterministic(self):
         report = report_from_traces(TRACES, n_shards=3)

@@ -8,7 +8,6 @@ import pytest
 
 from fedvec.datasets import SplitSpec, split_by_query
 from fedvec.router import (
-    LabeledExample,
     ModelFormatError,
     TrainConfig,
     cyclic_lr,
@@ -23,30 +22,24 @@ SPLIT = SplitSpec(train_frac=0.5, val_frac=0.25, test_frac=0.25, seed=3)
 
 
 def toy_examples(n_queries=60, seed=7):
-    """Two rows per query, separable on feature 0 with a 2.0-wide margin.
+    """(features, labels, query_ids) with two rows per query, separable on
+    feature 0 with a 2.0-wide margin.
 
     label = 1 iff the raw draw exceeded 0.8 (about a fifth of rows), then
     feature 0 is pushed a full unit away from that boundary so a linear
     cut exists for the network to find.
     """
     rng = np.random.default_rng(seed)
-    out = []
-    for row in range(2 * n_queries):
-        x = rng.standard_normal(5)
-        label = int(x[0] > 0.8)
-        x[0] += 1.0 if label else -1.0
-        out.append(
-            LabeledExample(
-                features=x, label=label, query_id=row // 2, shard_id=row % 2
-            )
-        )
-    return out
+    features = rng.standard_normal((2 * n_queries, 5))
+    labels = (features[:, 0] > 0.8).astype(np.int64)
+    features[:, 0] += np.where(labels == 1, 1.0, -1.0)
+    return features, labels, np.arange(2 * n_queries) // 2
 
 
 @pytest.fixture(scope="module")
 def toy_result():
     config = TrainConfig(epochs=8, batch_size=16, dropout_rate=0.1, seed=5)
-    return train(toy_examples(), SPLIT, config)
+    return train(*toy_examples(), SPLIT, config)
 
 
 class TestCyclicLr:
@@ -79,18 +72,15 @@ class TestTraining:
             assert 1e-3 <= h.lr_end <= 5e-3
 
     def test_checkpointed_model_predicts_labels(self, toy_result):
-        examples = toy_examples()
-        _, _, test_q = split_by_query(
-            np.array([ex.query_id for ex in examples]), SPLIT
-        )
-        rows = np.stack([ex.features for ex in examples if ex.query_id in test_q])
-        labels = np.array([ex.label for ex in examples if ex.query_id in test_q])
-        probs = predict_batch(toy_result.model, rows)
-        assert np.mean((probs >= 0.5) == (labels == 1)) >= 0.9
+        features, labels, qids = toy_examples()
+        _, _, test_q = split_by_query(qids, SPLIT)
+        in_test = np.isin(qids, sorted(test_q))
+        probs = predict_batch(toy_result.model, features[in_test])
+        assert np.mean((probs >= 0.5) == (labels[in_test] == 1)) >= 0.9
 
     def test_bitwise_deterministic(self, toy_result):
         again = train(
-            toy_examples(), SPLIT, TrainConfig(epochs=8, batch_size=16,
+            *toy_examples(), SPLIT, TrainConfig(epochs=8, batch_size=16,
                                                dropout_rate=0.1, seed=5)
         )
         assert again.history == toy_result.history
@@ -99,13 +89,13 @@ class TestTraining:
     def test_default_pos_weight_equals_neg_over_pos(self, toy_result):
         """pos_weight=None must train identically to passing the train-split
         negative/positive ratio explicitly, recounted here by hand."""
-        examples = toy_examples()
-        train_q, _, _ = split_by_query(
-            np.array([ex.query_id for ex in examples]), SPLIT
-        )
-        counts = Counter(ex.label for ex in examples if ex.query_id in train_q)
+        features, labels, qids = toy_examples()
+        train_q, _, _ = split_by_query(qids, SPLIT)
+        counts = Counter(labels[np.isin(qids, sorted(train_q))].tolist())
         explicit = train(
-            examples,
+            features,
+            labels,
+            qids,
             SPLIT,
             TrainConfig(epochs=8, batch_size=16, dropout_rate=0.1, seed=5,
                         pos_weight=counts[0] / counts[1]),
@@ -115,22 +105,18 @@ class TestTraining:
     def test_input_validation(self):
         cfg = TrainConfig(epochs=2, batch_size=8)
         with pytest.raises(ValueError, match="no training examples"):
-            train([], SPLIT, cfg)
+            train([], [], [], SPLIT, cfg)
         with pytest.raises(ValueError, match="positive"):
-            train(toy_examples(), SPLIT, TrainConfig(epochs=0))
+            train(*toy_examples(), SPLIT, TrainConfig(epochs=0))
         with pytest.raises(ValueError, match="dropout"):
-            train(toy_examples(), SPLIT, TrainConfig(dropout_rate=1.0))
+            train(*toy_examples(), SPLIT, TrainConfig(dropout_rate=1.0))
         with pytest.raises(ValueError, match="lr_min"):
-            train(toy_examples(), SPLIT, TrainConfig(lr_min=0.0))
+            train(*toy_examples(), SPLIT, TrainConfig(lr_min=0.0))
         with pytest.raises(ValueError, match="validation split is empty"):
-            train(toy_examples(), SplitSpec(0.9, 0.0, 0.1, seed=3), cfg)
-        single = [
-            LabeledExample(features=np.full(4, float(i)), label=1, query_id=i,
-                           shard_id=0)
-            for i in range(12)
-        ]
+            train(*toy_examples(), SplitSpec(0.9, 0.0, 0.1, seed=3), cfg)
+        single = np.repeat(np.arange(12.0)[:, None], 4, axis=1)
         with pytest.raises(ValueError, match="single class"):
-            train(single, SplitSpec(0.5, 0.25, 0.25, seed=0), cfg)
+            train(single, np.ones(12), np.arange(12), SplitSpec(0.5, 0.25, 0.25, seed=0), cfg)
 
 
 class TestModelFile:

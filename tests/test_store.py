@@ -37,14 +37,6 @@ class TestShardStats:
         loose = shard_stats(10.0 * base)
         assert 0.0 < loose.density < tight.density <= 1.0
 
-    def test_density_mean_distance_mode(self):
-        pts = np.array([[0.0, 0.0], [2.0, 0.0]])
-        assert shard_stats(pts, density="mean_distance").density == pytest.approx(1.0)
-
-    def test_unknown_density_mode(self):
-        with pytest.raises(ValueError):
-            shard_stats(np.ones((2, 2)), density="bogus")
-
 
 class TestBuildIndex:
     def test_rejects_empty(self):

@@ -5,10 +5,10 @@ import pytest
 
 from fedvec.vecio import (
     VectorFileError,
+    manifest_bytes,
     read_manifest,
     read_vectors,
     vector_file_bytes,
-    write_manifest,
     write_vectors,
 )
 
@@ -65,7 +65,7 @@ def test_shape_validation():
 def test_manifest_round_trip_and_relative_paths(tmp_path):
     sub = tmp_path / "nested"
     sub.mkdir()
-    write_manifest(sub / "manifest.json", 8, {2: "a.fvr", 0: "b/c.fvr"})
+    (sub / "manifest.json").write_bytes(manifest_bytes(8, {2: "a.fvr", 0: "b/c.fvr"}))
     dim, entries = read_manifest(sub / "manifest.json")
     assert dim == 8
     assert entries == [(0, sub / "b/c.fvr"), (2, sub / "a.fvr")]
