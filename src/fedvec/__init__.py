@@ -33,7 +33,7 @@ from .router import (
     save_model,
     train,
 )
-from .store import ScoredHit, ShardIndex, ShardStats, build_index, search_top_k, shard_distance
+from .store import ScoredHit, ShardIndex, ShardStats, build_index, search_top_k
 
 __version__ = "0.1.0"
 
@@ -69,7 +69,6 @@ __all__ = [
     "route",
     "save_model",
     "search_top_k",
-    "shard_distance",
     "split_by_query",
     "train",
     "transform",

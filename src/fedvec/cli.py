@@ -28,20 +28,14 @@ from .datasets import (
     kmeans_shard,
     split_by_query,
 )
-from .features import assemble_features
+from .features import feature_dim, feature_rows
 from .federation import (
     decision_from_probabilities,
     generate_labels,
+    naive_hit_counts,
     oracle_decision,
-    relevant_shards,
-    result_from_hit_lists,
 )
-from .metrics import (
-    report_from_traces,
-    render_report_files,
-    retrieval_recall,
-    summarize_latency,
-)
+from .metrics import report_from_traces, render_report_files, summarize_latency
 from .router import (
     ModelFormatError,
     TrainConfig,
@@ -50,7 +44,7 @@ from .router import (
     serialize_model,
     train,
 )
-from .store import search_top_k
+from .store import search_top_k  # noqa: F401  (perfbench/selftest.py checks tracing wraps it here)
 from .vecio import VectorFileError, manifest_bytes, read_vectors, vector_file_bytes
 
 
@@ -217,6 +211,9 @@ def cmd_train(cfg: RunConfig) -> None:
         table = np.load(cfg.labels_path)
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot read labels {cfg.labels_path}: {exc}") from exc
+    missing = {"query_id", "label", "features"} - set(table.dtype.names or ())
+    if missing:
+        raise CliError(f"{cfg.labels_path}: not a labels table, missing fields {sorted(missing)}")
     result = train(table["features"], table["label"], table["query_id"], cfg.split, cfg.train)
 
     log_lines = ["epoch,train_loss,val_accuracy,lr_start,lr_end"]
@@ -250,32 +247,35 @@ def cmd_eval(cfg: RunConfig) -> None:
     stats = [s.stats for s in shards]
     dim = shards[0].dim
     n_shards = len(shards)
+    if model.input_dim != feature_dim(dim):
+        raise CliError(
+            f"{cfg.model_path}: model takes {model.input_dim} features, "
+            f"shards of dim {dim} give {feature_dim(dim)}"
+        )
+    rows = feature_rows(qvecs, stats)
+    # A selection's merged top-k holds every naive hit from a selected shard
+    # (it ranks no lower among fewer candidates) and none from the others,
+    # so its recall is the selected shards' share of the naive top-k.
+    hit_counts = naive_hit_counts(shards, qvecs, cfg.k)
+    returned = np.array([min(cfg.k, s.stats.count) for s in shards])
+    per_unit = 8 + 4 * dim  # u64 id + f32 coords, both directions
+
+    def cost(selected: np.ndarray) -> dict:
+        m, r = int(selected.sum()), int(returned[selected].sum())
+        return {"m": m, "embeddings_returned": r, "bytes_moved": (m + r) * per_unit}
+
     traces: list[dict] = []
     route_latencies: list[int] = []
+    for qid, query_rows, counts in zip(qids.tolist(), rows, hit_counts):
+        n_truth = int(counts.sum())
+        relevant = counts > 0
+        oracle = oracle_decision(qid, relevant, n_shards)
 
-    for qid, query in zip(qids.tolist(), qvecs):
-        hit_lists = [search_top_k(s, query, cfg.k) for s in shards]
-
-        all_selected = decision_from_probabilities(qid, np.ones(n_shards), 0.5)
-        naive_res = result_from_hit_lists(all_selected, hit_lists, dim, cfg.k)
-        # The naive top-k is a merge of the per-shard lists, so a shard's
-        # share of it is the count of its hits there.
-        shard_recall = [
-            sum(h.shard_id == s.shard_id for h in naive_res.hits) / len(naive_res.hits)
-            for s in shards
-        ]
-        relevant = relevant_shards(naive_res.hits, shards)
-
-        oracle = oracle_decision(qid, relevant.astype(bool), n_shards)
-        oracle_res = result_from_hit_lists(oracle, hit_lists, dim, cfg.k)
-
-        rows = np.stack([assemble_features(query, s) for s in stats])
         t0 = time.perf_counter_ns()
-        probs = predict_batch(model, rows)
+        probs = predict_batch(model, query_rows)
         latency = time.perf_counter_ns() - t0
         route_latencies.append(latency)
         decision = decision_from_probabilities(qid, probs, cfg.threshold)
-        pred_res = result_from_hit_lists(decision, hit_lists, dim, cfg.k)
 
         base = {"query_id": qid, "k": cfg.k, "latency_ns": 0}
         traces.append(
@@ -285,11 +285,9 @@ def cmd_eval(cfg: RunConfig) -> None:
                 "probabilities": None,
                 "selected": [1] * n_shards,
                 "relevant": None,
-                "m": naive_res.shards_queried,
-                "embeddings_returned": naive_res.embeddings_returned,
-                "bytes_moved": naive_res.bytes_moved,
+                **cost(np.ones(n_shards, dtype=bool)),
                 "recall": 1.0,
-                "shard_recalls": shard_recall,
+                "shard_recalls": [c / n_truth for c in counts.tolist()],
                 "fallback_used": False,
             }
         )
@@ -300,10 +298,8 @@ def cmd_eval(cfg: RunConfig) -> None:
                 "probabilities": None,
                 "selected": [int(v) for v in oracle.selected],
                 "relevant": None,
-                "m": oracle_res.shards_queried,
-                "embeddings_returned": oracle_res.embeddings_returned,
-                "bytes_moved": oracle_res.bytes_moved,
-                "recall": retrieval_recall(oracle_res, naive_res),
+                **cost(oracle.selected),
+                "recall": int(counts[oracle.selected].sum()) / n_truth,
                 "shard_recalls": None,
                 "fallback_used": False,
             }
@@ -315,10 +311,8 @@ def cmd_eval(cfg: RunConfig) -> None:
                 "probabilities": [float(p) for p in probs],
                 "selected": [int(v) for v in decision.selected],
                 "relevant": [int(v) for v in relevant],
-                "m": pred_res.shards_queried,
-                "embeddings_returned": pred_res.embeddings_returned,
-                "bytes_moved": pred_res.bytes_moved,
-                "recall": retrieval_recall(pred_res, naive_res),
+                **cost(decision.selected),
+                "recall": int(counts[decision.selected].sum()) / n_truth,
                 "shard_recalls": None,
                 "fallback_used": decision.fallback_used,
                 "latency_ns": latency,
@@ -326,7 +320,8 @@ def cmd_eval(cfg: RunConfig) -> None:
         )
 
     # Batch-32 inference figure: median of 100 timed runs on real feature rows.
-    bench_rows = np.stack([assemble_features(qvecs[i % len(qvecs)], stats[i % n_shards]) for i in range(32)])
+    pick = np.arange(32)
+    bench_rows = rows[pick % len(qids), pick % n_shards]
     samples = []
     for _ in range(100):
         t0 = time.perf_counter_ns()

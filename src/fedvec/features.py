@@ -8,10 +8,11 @@ Feature layout is fixed and position-sensitive:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .store import ShardStats, shard_distance
+from .store import ShardStats
 
 STD_FLOOR = 1e-8
 
@@ -20,18 +21,34 @@ def feature_dim(d: int) -> int:
     return 2 * d + 3
 
 
+def feature_rows(queries: np.ndarray, stats: Sequence[ShardStats]) -> np.ndarray:
+    """Raw (unstandardized) feature rows for every (query, shard) pair: a
+    (Q, d) query matrix gives (Q, n_shards, 2d + 3)."""
+    queries = np.asarray(queries, dtype=np.float64)
+    centroids = np.stack([s.centroid for s in stats])
+    if queries.ndim != 2 or queries.shape[1] != centroids.shape[1]:
+        raise ValueError(f"queries {queries.shape} do not match centroid dim {centroids.shape[1]}")
+    n_q, d = queries.shape
+    diff = queries[:, None, :] - centroids[None, :, :]
+    rows = np.empty((n_q, len(stats), feature_dim(d)))
+    rows[..., :d] = queries[:, None, :]
+    rows[..., d : 2 * d] = centroids
+    # A stacked (1, d) @ (d, 1) product per pair gives the bits of a 1-D
+    # `diff @ diff`, whatever the number of queries or shards.
+    rows[..., 2 * d] = np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0]
+    rows[..., 2 * d + 1] = [float(s.count) for s in stats]
+    rows[..., 2 * d + 2] = [s.density for s in stats]
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("non-finite feature value")
+    return rows
+
+
 def assemble_features(query: np.ndarray, stats: ShardStats) -> np.ndarray:
     """Build the raw (unstandardized) feature row for one (query, shard) pair."""
     query = np.asarray(query, dtype=np.float64)
     if query.ndim != 1:
         raise ValueError("query must be a 1-D embedding")
-    dist = shard_distance(query, stats)
-    row = np.concatenate(
-        [query, stats.centroid, [dist, float(stats.count), stats.density]]
-    )
-    if not np.all(np.isfinite(row)):
-        raise ValueError("non-finite feature value")
-    return row
+    return feature_rows(query[None, :], [stats])[0, 0]
 
 
 @dataclass(frozen=True)

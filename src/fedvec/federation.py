@@ -13,9 +13,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import assemble_features, feature_dim
+from .features import feature_dim, feature_rows
 from .router import RouterModel, predict_batch
-from .store import ScoredHit, ShardIndex, ShardStats, search_top_k
+from .store import ScoredHit, ShardIndex, ShardStats, search_batch, search_top_k
+
+# Queries per scan block: bounds the (block, shard rows) screen matrix, so
+# peak memory does not grow with the number of queries.
+QUERY_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -63,7 +67,7 @@ def route(
     if not shard_stats:
         raise ValueError("no shards to route over")
     thresh = model.threshold if threshold is None else threshold
-    rows = np.stack([assemble_features(query, s) for s in shard_stats])
+    rows = feature_rows(np.asarray(query)[None], shard_stats)[0]
     probs = predict_batch(model, rows)
     return decision_from_probabilities(query_id, probs, thresh)
 
@@ -153,6 +157,31 @@ def relevant_shards(hits: Sequence[ScoredHit], shards: Sequence[ShardIndex]) -> 
     return labels
 
 
+def naive_hit_counts(
+    shards: Sequence[ShardIndex], queries: np.ndarray, k: int
+) -> np.ndarray:
+    """(Q, n_shards) int64: how many of each query's naive top-k hits each
+    shard holds, for a (Q, d) query matrix.
+
+    Every shard is scanned once per block of QUERY_BLOCK queries, and the
+    block's per-shard top-k lists are merged in the order of `merge_hits`.
+    Within one shard the vector id only orders hits among themselves, so
+    (distance, shard_id) decides every count.
+    """
+    queries = np.asarray(queries, dtype=np.float64)
+    # Shard position and shard id of each column of a block's concatenated lists.
+    pos = np.repeat(np.arange(len(shards)), [min(k, s.stats.count) for s in shards])
+    sids = np.array([s.shard_id for s in shards])[pos]
+    counts = np.zeros((queries.shape[0], len(shards)), dtype=np.int64)
+    for lo in range(0, queries.shape[0], QUERY_BLOCK):
+        block = queries[lo : lo + QUERY_BLOCK]
+        dists = np.concatenate([search_batch(s, block, k)[1] for s in shards], axis=1)
+        order = np.lexsort((np.broadcast_to(sids, dists.shape), dists), axis=1)
+        top = pos[order[:, :k]]
+        np.add.at(counts[lo : lo + len(block)], (np.arange(len(block))[:, None], top), 1)
+    return counts
+
+
 def generate_labels(
     shards: Sequence[ShardIndex],
     queries: Sequence[tuple[int, np.ndarray]],
@@ -163,18 +192,21 @@ def generate_labels(
     shard placed a hit in the query's naive global top-k."""
     if not shards:
         raise ValueError("no shards to label")
+    qids = [qid for qid, _ in queries]
+    vecs = np.array([vec for _, vec in queries], dtype=np.float64)
+    if not queries:
+        vecs = vecs.reshape(0, shards[0].dim)
+    features = feature_rows(vecs, [s.stats for s in shards])
+    counts = naive_hit_counts(shards, vecs, k)
     dtype = [
         ("query_id", "<i8"),
         ("shard_id", "<i8"),
         ("label", "<i8"),
         ("features", "<f8", (feature_dim(shards[0].dim),)),
     ]
-    table = np.zeros(len(queries) * len(shards), dtype=dtype)
-    row = 0
-    for query_id, query in queries:
-        result = naive_search(query_id, shards, query, k)
-        labels = relevant_shards(result.hits, shards)
-        for shard, label in zip(shards, labels):
-            table[row] = (query_id, shard.shard_id, label, assemble_features(query, shard.stats))
-            row += 1
+    table = np.zeros(counts.size, dtype=dtype)
+    table["query_id"] = np.repeat(qids, len(shards))
+    table["shard_id"] = np.tile([s.shard_id for s in shards], len(qids))
+    table["label"] = (counts > 0).ravel()
+    table["features"] = features.reshape(counts.size, -1)
     return table

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .datasets import SplitSpec, split_by_query
-from .features import ScalerParams, fit_scaler, transform
+from .features import ScalerParams, feature_dim, fit_scaler, transform
 from .rng import substream
 
 HIDDEN1 = 256
@@ -475,13 +475,15 @@ def load_model(path) -> RouterModel:
         raw = fh.read()
     if len(raw) < _MODEL_HEADER.size + 4:
         raise ModelFormatError(f"{path}: truncated model file")
-    magic, version, input_dim, _d, h1, h2, dropout, threshold, seed = _MODEL_HEADER.unpack_from(raw)
+    magic, version, input_dim, d, h1, h2, dropout, threshold, seed = _MODEL_HEADER.unpack_from(raw)
     if magic != MODEL_MAGIC:
         raise ModelFormatError(f"{path}: bad magic {magic!r}, not a model file")
     if version != MODEL_VERSION:
         raise ModelFormatError(f"{path}: unsupported format version {version}")
     if (h1, h2) != (HIDDEN1, HIDDEN2):
         raise ModelFormatError(f"{path}: unexpected layer widths {(h1, h2)}")
+    if input_dim != feature_dim(d):
+        raise ModelFormatError(f"{path}: input_dim {input_dim} != 2 * d + 3 for stored d {d}")
 
     (stored_crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
     if zlib.crc32(raw[:-4]) != stored_crc:

@@ -6,6 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+EPS = np.finfo(np.float64).eps
+# Candidate rows re-scored at a time: bounds the gathered (rows, d) copies
+# when k >= n or near-ties make the screen keep most of a block's rows.
+RERANK_ROWS = 1 << 14
+
 
 @dataclass(frozen=True)
 class ShardStats:
@@ -31,6 +36,7 @@ class ShardIndex:
     ids: np.ndarray        # (n,) int64, unique
     vectors: np.ndarray    # (n, d) float64, C-contiguous
     stats: ShardStats
+    sq_norms: np.ndarray   # (n,) squared row norms, for the GEMM screen
 
     @property
     def dim(self) -> int:
@@ -38,7 +44,8 @@ class ShardIndex:
 
 
 def squared_distances(vectors: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Exact squared Euclidean distance from `query` to every row."""
+    """Exact squared Euclidean distance from `query` to every row (or from
+    each row of `query` to the matching row of `vectors`)."""
     diff = vectors - query
     return np.einsum("ij,ij->i", diff, diff)
 
@@ -68,9 +75,60 @@ def build_index(shard_id: int, ids: np.ndarray, vectors: np.ndarray) -> ShardInd
         raise ValueError(f"shard {shard_id}: duplicate vector ids")
     if not np.all(np.isfinite(vectors)):
         raise ValueError(f"shard {shard_id}: non-finite coordinates")
-    vectors.setflags(write=False)
-    ids.setflags(write=False)
-    return ShardIndex(shard_id, ids, vectors, shard_stats(vectors))
+    sq_norms = np.einsum("ij,ij->i", vectors, vectors)
+    for array in (vectors, ids, sq_norms):
+        array.setflags(write=False)
+    return ShardIndex(shard_id, ids, vectors, shard_stats(vectors), sq_norms)
+
+
+def search_batch(index: ShardIndex, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-k of one shard for each row of a (b, d) query block.
+
+    Returns (rows, distances), both (b, min(k, n)): positions in the index and
+    `squared_distances` values, each query's hits ordered by (distance,
+    vector id). A GEMM screen picks candidates and the diff-based kernel
+    re-scores them, so results equal a full `squared_distances` scan bit for
+    bit.
+    """
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[1] != index.dim:
+        raise ValueError(f"query dim {queries.shape[1:]} != shard dim ({index.dim},)")
+    if k <= 0:
+        raise ValueError("k must be positive")
+    qn = np.einsum("ij,ij->i", queries, queries)
+    if not np.isfinite(qn).all():
+        raise ValueError("non-finite query norm")
+    b, n = queries.shape[0], index.vectors.shape[0]
+    top = min(k, n)
+    if k >= n:
+        q_of, rows = np.divmod(np.arange(b * n), n)
+    else:
+        # Screen s = |x|^2 - 2 x.q: the distance less |q|^2, a shift that a
+        # query's rows share. Scaling q by -2 is exact. The dot product of d
+        # terms errs by at most ~d u |x||q| (u = eps/2), |x|^2 by d u |x|^2
+        # and the addition by u of its operands, so s is within
+        # (2d + 2) u (|x|^2 + |q|^2) of the shifted real distance. The
+        # diff-based float distance e is within (d + 3) u |x - q|^2
+        # <= (2d + 6) u (|x|^2 + |q|^2) of the real one. Hence
+        # |s - (e - |q|^2)| <= err = 4 (d + 4) eps (max |x|^2 + |q|^2), with
+        # room for second-order terms. The k smallest screens all have
+        # e - |q|^2 <= kth + err, so every row whose e is at most the exact
+        # k-th distance, ties included, screens at most kth + 2 err.
+        screen = (-2.0 * queries) @ index.vectors.T
+        screen += index.sq_norms
+        kth = np.partition(screen, k - 1, axis=1)[:, k - 1]
+        err = 4.0 * (index.dim + 4) * EPS * (index.sq_norms.max() + qn)
+        # Written as "not above" so a NaN screen (overflow) keeps its row.
+        keep = ~(screen > (kth + 2.0 * err)[:, None])
+        q_of, rows = np.divmod(np.flatnonzero(keep), n)
+    dists = np.empty(rows.shape[0])
+    for lo in range(0, rows.shape[0], RERANK_ROWS):
+        part = slice(lo, lo + RERANK_ROWS)
+        dists[part] = squared_distances(index.vectors[rows[part]], queries[q_of[part]])
+    order = np.lexsort((index.ids[rows], dists, q_of))
+    starts = np.searchsorted(q_of, np.arange(b))
+    pick = order[starts[:, None] + np.arange(top)]
+    return rows[pick], dists[pick]
 
 
 def search_top_k(index: ShardIndex, query: np.ndarray, k: int) -> list[ScoredHit]:
@@ -78,27 +136,9 @@ def search_top_k(index: ShardIndex, query: np.ndarray, k: int) -> list[ScoredHit
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (index.dim,):
         raise ValueError(f"query dim {query.shape} != shard dim ({index.dim},)")
-    if k <= 0:
-        raise ValueError("k must be positive")
-    dists = squared_distances(index.vectors, query)
-    n = dists.shape[0]
-    if k >= n:
-        cand = np.arange(n)
-    else:
-        # Partition finds k smallest, then widen to every tie at the boundary
-        # so the (distance, id) order is honoured even with duplicate points.
-        part = np.argpartition(dists, k - 1)[:k]
-        cand = np.flatnonzero(dists <= dists[part].max())
-    order = np.lexsort((index.ids[cand], dists[cand]))
-    top = cand[order[: min(k, n)]]
+    rows, dists = search_batch(index, query[None, :], k)
     sid = index.shard_id
-    return [ScoredHit(sid, int(index.ids[i]), float(dists[i])) for i in top]
-
-
-def shard_distance(query: np.ndarray, stats: ShardStats) -> float:
-    """Squared Euclidean distance from a query to a shard centroid."""
-    query = np.asarray(query, dtype=np.float64)
-    if query.shape != stats.centroid.shape:
-        raise ValueError("query/centroid dimension mismatch")
-    diff = query - stats.centroid
-    return float(diff @ diff)
+    return [
+        ScoredHit(sid, vid, dist)
+        for vid, dist in zip(index.ids[rows[0]].tolist(), dists[0].tolist())
+    ]

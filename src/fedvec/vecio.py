@@ -26,10 +26,12 @@ class VectorFileError(Exception):
 
 def vector_file_bytes(ids: np.ndarray, vectors: np.ndarray) -> bytes:
     """Serialize (ids, vectors) to the FVR1 record format."""
-    ids = np.asarray(ids, dtype="<u8")
+    ids = np.asarray(ids)
     vectors = np.asarray(vectors)
     if vectors.ndim != 2 or ids.shape != (vectors.shape[0],):
         raise ValueError("need ids (n,) and vectors (n, d)")
+    if np.any(ids < 0):
+        raise ValueError("vector ids must be non-negative")
     n, d = vectors.shape
     rec = np.zeros(n, dtype=_record_dtype(d))
     rec["id"] = ids
@@ -60,6 +62,8 @@ def read_vectors(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
             f"got {len(body)} bytes"
         )
     rec = np.frombuffer(body, dtype=dtype)
+    if count and rec["id"].max() > np.iinfo(np.int64).max:
+        raise VectorFileError(f"{path}: vector id {rec['id'].max()} does not fit in int64")
     return rec["id"].astype(np.int64), rec["vec"].astype(np.float64)
 
 
@@ -87,6 +91,8 @@ def read_manifest(path: str | Path) -> tuple[int, list[tuple[int, Path]]]:
         entries = [(int(s["shard_id"]), path.parent / s["path"]) for s in doc["shards"]]
     except (KeyError, TypeError) as exc:
         raise VectorFileError(f"{path}: malformed manifest: {exc}") from exc
+    if not entries:
+        raise VectorFileError(f"{path}: manifest lists no shards")
     if len({sid for sid, _ in entries}) != len(entries):
         raise VectorFileError(f"{path}: duplicate shard ids in manifest")
     return dim, entries

@@ -6,7 +6,10 @@ import os
 import numpy as np
 import pytest
 
+import fedvec.cli
 from fedvec.cli import main
+from fedvec.features import ScalerParams, feature_dim
+from fedvec.router import RouterModel, init_params, save_model
 from fedvec.vecio import write_vectors
 
 CONFIG = {
@@ -190,3 +193,39 @@ class TestFailures:
         (tmp_path / "cfg.json").write_text(json.dumps({"out": "run"}))
         assert run(tmp_path, "--config", "cfg.json", "report") == 2
         assert "cannot read traces" in capsys.readouterr().err
+
+    def test_labels_without_table_fields(self, tmp_path, capsys):
+        (tmp_path / "run").mkdir()
+        np.save(tmp_path / "run" / "labels.npy", np.zeros(5))
+        (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
+        assert run(tmp_path, "--config", "cfg.json", "train") == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "['features', 'label', 'query_id']" in err
+
+    def test_manifest_without_shards(self, tmp_path, capsys):
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "manifest.json").write_text('{"dimension": 32, "shards": []}')
+        (tmp_path / "cfg.json").write_text(json.dumps({"out": "run"}))
+        for command in ("import", "eval"):
+            assert run(tmp_path, "--config", "cfg.json", command) == 2
+            assert "lists no shards" in capsys.readouterr().err
+
+    def test_eval_rejects_model_of_other_width_before_scanning(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
+        assert run(tmp_path, "--config", "cfg.json", "synth") == 0
+        width = feature_dim(5)  # the shards have dim 4
+        model = RouterModel(
+            init_params(width, np.random.default_rng(0)),
+            ScalerParams(np.zeros(width), np.ones(width)),
+            dropout_rate=0.2,
+            threshold=0.5,
+            seed=0,
+        )
+        save_model(model, tmp_path / "run" / "router.rrm")
+
+        def no_scan(*args):
+            raise AssertionError("eval scanned shards with an unusable model")
+
+        monkeypatch.setattr(fedvec.cli, "naive_hit_counts", no_scan)
+        assert run(tmp_path, "--config", "cfg.json", "eval") == 2
+        assert "model takes 13 features, shards of dim 4 give 11" in capsys.readouterr().err

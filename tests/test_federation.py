@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from fedvec.federation import (
+    QUERY_BLOCK,
     FederatedResult,
     decision_from_probabilities,
     federated_search,
     generate_labels,
     merge_hits,
+    naive_hit_counts,
     naive_search,
     oracle_decision,
     relevant_shards,
@@ -177,6 +179,33 @@ class TestLabels:
         assert list(zip(table["query_id"].tolist(), table["shard_id"].tolist())) == [
             (5, 0), (5, 1), (5, 2), (6, 0), (6, 1), (6, 2),
         ]
+
+
+    def test_blocks_and_cross_shard_ties_match_per_query_search(self):
+        """A query count that is not a multiple of QUERY_BLOCK, and points
+        shared by several shards so the k-th place is a tie that shard_id
+        breaks: every row must equal the per-query naive_search reference."""
+        rng = np.random.default_rng(23)
+        grid = rng.integers(0, 3, size=(12, 2)).astype(float)
+        shards = [
+            build_index(sid, 1000 * sid + np.arange(12), grid[rng.permutation(12)])
+            for sid in (4, 1, 7)
+        ]
+        queries = [(100 + i, rng.integers(0, 3, size=2) + 0.5 * rng.integers(0, 2, size=2))
+                   for i in range(QUERY_BLOCK + 37)]
+        for k in (1, 5):
+            table = generate_labels(shards, queries, k)
+            counts = naive_hit_counts(shards, np.array([q for _, q in queries]), k)
+            for i, (qid, query) in enumerate(queries):
+                hits = naive_search(qid, shards, query, k).hits
+                labels = relevant_shards(hits, shards)
+                rows = table[i * 3 : (i + 1) * 3]
+                assert rows["query_id"].tolist() == [qid] * 3
+                assert rows["shard_id"].tolist() == [4, 1, 7]
+                assert rows["label"].tolist() == labels.tolist()
+                for row, shard in zip(rows, shards):
+                    np.testing.assert_array_equal(row["features"], assemble_features(query, shard.stats))
+                    assert counts[i, shards.index(shard)] == sum(h.shard_id == shard.shard_id for h in hits)
 
 
 class TestByteMonotonicity:

@@ -1,6 +1,7 @@
 """Training loop, cyclic schedule, checkpointing, and the model container."""
 
 import struct
+import zlib
 from collections import Counter
 
 import numpy as np
@@ -154,6 +155,15 @@ class TestModelFile:
         path = tmp_path / "v2.rrm"
         path.write_bytes(raw)
         with pytest.raises(ModelFormatError, match="version"):
+            load_model(path)
+
+    def test_stored_d_must_match_input_dim(self, toy_result, tmp_path):
+        raw = bytearray(serialize_model(toy_result.model))
+        raw[12:16] = struct.pack("<I", 99)  # d; input_dim stays 5
+        raw[-4:] = struct.pack("<I", zlib.crc32(bytes(raw[:-4])))
+        path = tmp_path / "d.rrm"
+        path.write_bytes(raw)
+        with pytest.raises(ModelFormatError, match="stored d 99"):
             load_model(path)
 
     def test_flipped_payload_byte_fails_checksum(self, toy_result, tmp_path):

@@ -5,14 +5,31 @@ import math
 import numpy as np
 import pytest
 
+from fedvec.features import assemble_features
 from fedvec.store import (
+    RERANK_ROWS,
     ScoredHit,
     build_index,
+    search_batch,
     search_top_k,
-    shard_distance,
     shard_stats,
     squared_distances,
 )
+
+
+def shard_distance(query, stats):
+    """The query-centroid distance slot of the (query, shard) feature row."""
+    return assemble_features(query, stats)[2 * stats.centroid.shape[0]]
+
+
+def brute_force(index, queries, k):
+    """Full `squared_distances` scan per query, sorted by (distance, id)."""
+    out = []
+    for q in queries:
+        dists = squared_distances(index.vectors, q)
+        top = np.lexsort((index.ids, dists))[:k]
+        out.append((index.ids[top].tolist(), dists[top].tolist()))
+    return out
 
 
 class TestShardStats:
@@ -118,6 +135,60 @@ class TestSearchTopK:
         hits = search_top_k(idx, rng.standard_normal(4), 20)
         dists = [h.distance for h in hits]
         assert dists == sorted(dists)
+
+
+class TestSearchBatch:
+    def test_near_duplicates_at_large_norm(self):
+        """Points 1e-7 apart around 1e6, plus exact duplicates: the GEMM
+        screen cannot order them, so exactness rests on the error bound, and
+        every row is re-scored (more than RERANK_ROWS per block)."""
+        rng = np.random.default_rng(3)
+        d = 4
+        vectors = 1e6 + 1e-7 * rng.integers(0, 50, size=(600, d))
+        vectors[500:] = vectors[:100]  # exact duplicates under other ids
+        ids = rng.permutation(1000)[:600]
+        index = build_index(2, ids, vectors)
+        queries = 1e6 + 1e-7 * rng.integers(0, 50, size=(30, d)).astype(float)
+        queries[:5] = vectors[:5]
+        assert queries.shape[0] * vectors.shape[0] > RERANK_ROWS
+        screen = index.sq_norms - 2.0 * queries @ vectors.T
+        for k in (1, 7, 25):
+            want = brute_force(index, queries, k)
+            rows, dists = search_batch(index, queries, k)
+            assert [(index.ids[r].tolist(), x.tolist()) for r, x in zip(rows, dists)] == want
+            for q, (want_ids, want_d) in zip(queries, want):
+                hits = search_top_k(index, q, k)
+                assert [(h.vector_id, h.distance) for h in hits] == list(zip(want_ids, want_d))
+            # the screen's own top-k is wrong for some query, so the kept
+            # margin is what makes the results exact
+            screened = [set(ids[np.argsort(row, kind="stable")[:k]].tolist()) for row in screen]
+            assert any(got != set(w) for got, (w, _) in zip(screened, want))
+
+    def test_k_at_least_n_and_singleton(self):
+        rng = np.random.default_rng(5)
+        queries = rng.standard_normal((9, 3))
+        for n, k in ((1, 1), (1, 4), (6, 6), (6, 50)):
+            index = build_index(0, np.arange(n)[::-1], rng.standard_normal((n, 3)))
+            rows, dists = search_batch(index, queries, k)
+            assert rows.shape == dists.shape == (9, n)
+            assert [(index.ids[r].tolist(), x.tolist()) for r, x in zip(rows, dists)] == brute_force(
+                index, queries, k
+            )
+
+    def test_matches_brute_force_on_random_blocks(self):
+        rng = np.random.default_rng(8)
+        index = build_index(1, rng.permutation(500), 3.0 + rng.standard_normal((500, 16)))
+        queries = 3.0 + rng.standard_normal((40, 16))
+        for k in (1, 10, 499):
+            rows, dists = search_batch(index, queries, k)
+            assert [(index.ids[r].tolist(), x.tolist()) for r, x in zip(rows, dists)] == brute_force(
+                index, queries, k
+            )
+
+    def test_rejects_non_finite_query(self):
+        index = build_index(0, np.array([1, 2]), np.eye(2))
+        with pytest.raises(ValueError, match="non-finite"):
+            search_batch(index, np.array([[0.0, np.nan]]), 1)
 
 
 class TestShardDistance:

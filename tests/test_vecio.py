@@ -85,3 +85,22 @@ def test_manifest_missing_keys(tmp_path):
     path.write_text('{"shards": []}')
     with pytest.raises(VectorFileError, match="malformed"):
         read_manifest(path)
+
+
+def test_id_above_int64_range(tmp_path):
+    path = tmp_path / "v.fvr"
+    write_vectors(path, np.array([7, 2**63 + 5], dtype=np.uint64), np.ones((2, 3)))
+    with pytest.raises(VectorFileError, match="does not fit in int64"):
+        read_vectors(path)
+
+
+def test_negative_ids_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        vector_file_bytes(np.array([3, -1]), np.ones((2, 2)))
+
+
+def test_manifest_without_shards(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text('{"dimension": 4, "shards": []}')
+    with pytest.raises(VectorFileError, match="no shards"):
+        read_manifest(path)
