@@ -30,7 +30,6 @@ from .router import (
     TrainConfig,
     load_model,
     predict_batch,
-    save_model,
     train,
 )
 from .store import ScoredHit, ShardIndex, ShardStats, build_index, search_top_k
@@ -67,7 +66,6 @@ __all__ = [
     "predict_batch",
     "retrieval_recall",
     "route",
-    "save_model",
     "search_top_k",
     "split_by_query",
     "train",

@@ -10,12 +10,11 @@ Commands stage all output in memory and write nothing until they succeed.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -123,14 +122,19 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _write_all(files: dict[Path, bytes]) -> None:
-    """All-or-nothing output: every file lands, or none survive."""
+def _write_all(files: dict[Path, bytes | np.ndarray]) -> None:
+    """All-or-nothing output: every file lands, or none survive. An array is
+    written in .npy format, straight from memory."""
     written: list[Path] = []
     try:
-        for path, blob in files.items():
+        for path, data in files.items():
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp = path.with_name(path.name + ".tmp")
-            tmp.write_bytes(blob)
+            with open(tmp, "wb") as fh:
+                if isinstance(data, np.ndarray):
+                    np.save(fh, data)
+                else:
+                    fh.write(data)
             os.replace(tmp, path)
             written.append(path)
     except BaseException:
@@ -193,9 +197,7 @@ def cmd_label(cfg: RunConfig) -> None:
     qids, qvecs = _read_queries(cfg.queries_train)
     table = generate_labels(shards, list(zip(qids.tolist(), qvecs)), cfg.k)
 
-    buf = io.BytesIO()
-    np.save(buf, table)
-    _write_all({cfg.labels_path: buf.getvalue()})
+    _write_all({cfg.labels_path: table})
 
     n_pos = int(table["label"].sum())
     per_query = table["label"].reshape(len(qids), len(shards)).sum(axis=1)
@@ -215,6 +217,9 @@ def cmd_train(cfg: RunConfig) -> None:
     if missing:
         raise CliError(f"{cfg.labels_path}: not a labels table, missing fields {sorted(missing)}")
     result = train(table["features"], table["label"], table["query_id"], cfg.split, cfg.train)
+    # The stored threshold is the one route() selects with, so serving
+    # agrees with eval, which selects with the config's.
+    model = replace(result.model, threshold=cfg.threshold)
 
     log_lines = ["epoch,train_loss,val_accuracy,lr_start,lr_end"]
     for e in result.history:
@@ -223,7 +228,7 @@ def cmd_train(cfg: RunConfig) -> None:
         )
     _write_all(
         {
-            cfg.model_path: serialize_model(result.model),
+            cfg.model_path: serialize_model(model),
             cfg.out / "training_log.csv": ("\n".join(log_lines) + "\n").encode(),
         }
     )

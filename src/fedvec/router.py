@@ -25,6 +25,11 @@ HIDDEN2 = 128
 LN_EPS = 1e-5
 # Value of the normalizer on a variance-floored row; used to detect clamping.
 _INV_AT_FLOOR = 1.0 / math.sqrt(LN_EPS)
+# Eval-mode inference runs its rows in blocks of this many, the last block
+# taking the remainder (so n >= 256 rows make n // 128 blocks of 128..255).
+# Blocks start at multiples of 128 because BLAS groups rows from a block's
+# start: blocks of a few rows, or starting elsewhere, change logit bits.
+INFER_BLOCK = 128
 
 
 class ModelFormatError(Exception):
@@ -118,28 +123,76 @@ def init_params(input_dim: int, rng: np.random.Generator) -> RouterParams:
     )
 
 
-def _layer_norm(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise normalization; returns (xhat, 1/sqrt(max(var, eps)))."""
-    mu = a.mean(axis=1, keepdims=True)
-    var = a.var(axis=1, keepdims=True)
+def _layer_norm(a: np.ndarray, xh: np.ndarray, inv: np.ndarray, sq: np.ndarray) -> None:
+    """Row-wise normalization of a (b, h) into xh, which may be a itself.
+
+    inv (b, 1) receives 1/sqrt(max(var, eps)); sq (b, h) is scratch. The ops
+    are the ones np.mean and np.var run, so xh has the bits of
+    `(a - a.mean(1)) * (1 / sqrt(max(a.var(1), eps)))`.
+    """
+    h = a.shape[1]
+    np.sum(a, axis=1, keepdims=True, out=inv)
+    inv /= h
+    np.subtract(a, inv, out=xh)
+    np.multiply(xh, xh, out=sq)
+    np.sum(sq, axis=1, keepdims=True, out=inv)
+    inv /= h
     # eps floors the variance instead of shifting it: any row with var >= eps
     # normalizes to variance exactly 1 rather than var/(var+eps), and rows
     # with var < eps (constant or nearly so) stay finite.
-    inv = 1.0 / np.sqrt(np.maximum(var, LN_EPS))
-    return (a - mu) * inv, inv
+    np.maximum(inv, LN_EPS, out=inv)
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xh *= inv
 
 
 def _dropout_mask(
-    shape: tuple[int, int], rate: float, rng: np.random.Generator
+    shape: tuple[int, int],
+    rate: float,
+    rng: np.random.Generator,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
+    """A fresh inverted-dropout mask, drawn into `out` when given; either way
+    the draw takes the same values from rng's stream."""
     # Inverted dropout: surviving units scaled by 1/(1-rate) so eval is identity.
-    keep = rng.random(shape) >= rate
-    return keep / (1.0 - rate)
+    mask = rng.random(shape, out=out)
+    np.greater_equal(mask, rate, out=mask)
+    mask /= 1.0 - rate
+    return mask
+
+
+@dataclass
+class _BackwardScratch:
+    """backward's own arrays for b rows: the logit gradient, per-row sums,
+    and a gradient and a scratch block for each hidden width."""
+
+    dz: np.ndarray
+    mean: np.ndarray
+    proj: np.ndarray
+    live: np.ndarray
+    d1: np.ndarray
+    t1: np.ndarray
+    d2: np.ndarray
+    t2: np.ndarray
+
+    @classmethod
+    def for_rows(cls, b: int) -> "_BackwardScratch":
+        col = (b, 1)
+        return cls(
+            np.empty(col), np.empty(col), np.empty(col), np.empty(col, dtype=bool),
+            np.empty((b, HIDDEN1)), np.empty((b, HIDDEN1)),
+            np.empty((b, HIDDEN2)), np.empty((b, HIDDEN2)),
+        )
 
 
 @dataclass
 class ForwardCache:
-    """Every intermediate the backward pass (and the LN invariant tests) needs."""
+    """Every intermediate the backward pass (and the LN invariant tests) needs.
+
+    `scratch` holds backward's own arrays, made on its first call on this
+    cache; train reuses one cache per batch size, so its steps allocate no
+    array of activation size.
+    """
 
     x: np.ndarray
     a1: np.ndarray
@@ -155,6 +208,45 @@ class ForwardCache:
     m2: np.ndarray | None
     h2: np.ndarray
     logits: np.ndarray
+    scratch: _BackwardScratch | None = None
+
+
+def _checked_rows(params: RouterParams, x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != params.w1.shape[0]:
+        raise ValueError(f"expected (b, {params.w1.shape[0]}) input, got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("non-finite input")
+    return x
+
+
+def _forward_into(
+    params: RouterParams, x: np.ndarray, c: ForwardCache, sq1: np.ndarray, sq2: np.ndarray
+) -> None:
+    """The forward pass of rows x into c's arrays; c.m1/c.m2 are the dropout
+    masks or None. Each layer's a, xh, n and h may be one array (eval-mode
+    inference keeps no intermediates); sq1 and sq2 are layer-norm scratch
+    that may be that layer's h, which is written last."""
+    np.matmul(x, params.w1, out=c.a1)
+    c.a1 += params.b1
+    _layer_norm(c.a1, c.xh1, c.inv1, sq1)
+    np.multiply(c.xh1, params.ln_g1, out=c.n1)
+    c.n1 += params.ln_b1
+    np.maximum(c.n1, 0.0, out=c.h1)
+    if c.m1 is not None:
+        c.h1 *= c.m1
+
+    np.matmul(c.h1, params.w2, out=c.a2)
+    c.a2 += params.b2
+    _layer_norm(c.a2, c.xh2, c.inv2, sq2)
+    np.multiply(c.xh2, params.ln_g2, out=c.n2)
+    c.n2 += params.ln_b2
+    np.maximum(c.n2, 0.0, out=c.h2)
+    if c.m2 is not None:
+        c.h2 *= c.m2
+
+    np.matmul(c.h2, params.w3, out=c.logits[:, None])
+    c.logits += params.b3
 
 
 def forward_cache(
@@ -165,44 +257,72 @@ def forward_cache(
     train: bool = False,
     rng: np.random.Generator | None = None,
     masks: tuple[np.ndarray, np.ndarray] | None = None,
+    out: ForwardCache | None = None,
 ) -> ForwardCache:
     """Full forward pass over standardized rows x (b, f), keeping intermediates.
 
     In train mode with dropout_rate > 0, masks come from `masks` if given
-    (gradient checking needs them pinned) or are drawn from `rng`.
+    (gradient checking needs them pinned) or are drawn from `rng`. `out` is
+    a cache from an earlier call on as many rows: the pass overwrites its
+    arrays instead of allocating, and takes x as already checked.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.w1.shape[0]:
-        raise ValueError(f"expected (b, {params.w1.shape[0]}) input, got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite input")
-
-    use_dropout = train and dropout_rate > 0.0
-    if use_dropout and masks is None:
-        if rng is None:
-            raise ValueError("train-mode dropout needs an rng or explicit masks")
+    if out is None:
+        x = _checked_rows(params, x)
         b = x.shape[0]
-        masks = (
-            _dropout_mask((b, HIDDEN1), dropout_rate, rng),
-            _dropout_mask((b, HIDDEN2), dropout_rate, rng),
+        wide, narrow, col = (b, HIDDEN1), (b, HIDDEN2), (b, 1)
+        out = ForwardCache(
+            x, np.empty(wide), np.empty(wide), np.empty(col), np.empty(wide), None, np.empty(wide),
+            np.empty(narrow), np.empty(narrow), np.empty(col), np.empty(narrow), None, np.empty(narrow),
+            np.empty(b),
         )
+    out.x = x
 
-    a1 = x @ params.w1 + params.b1
-    xh1, inv1 = _layer_norm(a1)
-    n1 = params.ln_g1 * xh1 + params.ln_b1
-    r1 = np.maximum(n1, 0.0)
-    m1 = masks[0] if use_dropout else None
-    h1 = r1 * m1 if use_dropout else r1
+    if not (train and dropout_rate > 0.0):
+        out.m1 = out.m2 = None
+    elif masks is not None:
+        out.m1, out.m2 = masks
+    elif rng is None:
+        raise ValueError("train-mode dropout needs an rng or explicit masks")
+    else:
+        b = x.shape[0]
+        out.m1 = _dropout_mask((b, HIDDEN1), dropout_rate, rng, out=out.m1)
+        out.m2 = _dropout_mask((b, HIDDEN2), dropout_rate, rng, out=out.m2)
 
-    a2 = h1 @ params.w2 + params.b2
-    xh2, inv2 = _layer_norm(a2)
-    n2 = params.ln_g2 * xh2 + params.ln_b2
-    r2 = np.maximum(n2, 0.0)
-    m2 = masks[1] if use_dropout else None
-    h2 = r2 * m2 if use_dropout else r2
+    _forward_into(params, x, out, out.h1, out.h2)
+    return out
 
-    logits = (h2 @ params.w3 + params.b3)[:, 0]
-    return ForwardCache(x, a1, xh1, inv1, n1, m1, h1, a2, xh2, inv2, n2, m2, h2, logits)
+
+def _eval_logits(params: RouterParams, x: np.ndarray) -> np.ndarray:
+    """Eval-mode logits of checked, standardized rows x (n, f).
+
+    Rows go through in blocks of INFER_BLOCK, the last block taking the
+    remainder, on buffers sized for the widest block, so memory stays bounded
+    whatever n is and no intermediate outlives its block.
+    """
+    n = x.shape[0]
+    edges = [i * INFER_BLOCK for i in range(max(1, n // INFER_BLOCK))] + [n]
+    widest = max(hi - lo for lo, hi in zip(edges, edges[1:]))
+    wide = np.empty(widest * HIDDEN1)
+    narrow = np.empty(widest * HIDDEN2)
+    sq = np.empty(widest * HIDDEN1)
+    inv = np.empty((widest, 1))
+    logits = np.empty(n)
+    for lo, hi in zip(edges, edges[1:]):
+        b = hi - lo
+        h1 = wide[: b * HIDDEN1].reshape(b, HIDDEN1)
+        h2 = narrow[: b * HIDDEN2].reshape(b, HIDDEN2)
+        iv = inv[:b]
+        block = ForwardCache(
+            x[lo:hi], h1, h1, iv, h1, None, h1, h2, h2, iv, h2, None, h2, logits[lo:hi]
+        )
+        _forward_into(
+            params,
+            block.x,
+            block,
+            sq[: b * HIDDEN1].reshape(b, HIDDEN1),
+            sq[: b * HIDDEN2].reshape(b, HIDDEN2),
+        )
+    return logits
 
 
 def forward(
@@ -213,8 +333,11 @@ def forward(
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Logits for rows x (b, f). Eval mode is deterministic (dropout = identity)."""
-    return forward_cache(params, x, dropout_rate=dropout_rate, train=train, rng=rng).logits
+    """Logits for rows x (b, f). Eval mode is deterministic (dropout = identity)
+    and keeps no intermediates."""
+    if train:
+        return forward_cache(params, x, dropout_rate=dropout_rate, train=True, rng=rng).logits
+    return _eval_logits(params, _checked_rows(params, x))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -254,18 +377,25 @@ def _loss_grad_logits(
 
 
 def _layer_norm_backward(
-    dxh: np.ndarray, xh: np.ndarray, inv: np.ndarray
-) -> np.ndarray:
+    dxh: np.ndarray, xh: np.ndarray, inv: np.ndarray, t: np.ndarray, s: _BackwardScratch
+) -> None:
+    """Turn dxh into d/da in place, with t (b, h) as scratch."""
     # d/da for xh = (a - mean(a)) * inv, population variance per row. The
     # variance term flows only where the floor is inactive; on clamped rows
     # inv is a constant w.r.t. a. inv == _INV_AT_FLOOR is exact there because
     # both sides round the same double the same way.
-    live = inv < _INV_AT_FLOOR
-    return inv * (
-        dxh
-        - dxh.mean(axis=1, keepdims=True)
-        - live * xh * (dxh * xh).mean(axis=1, keepdims=True)
-    )
+    h = dxh.shape[1]
+    np.sum(dxh, axis=1, keepdims=True, out=s.mean)
+    s.mean /= h
+    np.multiply(dxh, xh, out=t)
+    np.sum(t, axis=1, keepdims=True, out=s.proj)
+    s.proj /= h
+    np.less(inv, _INV_AT_FLOOR, out=s.live)
+    np.multiply(s.live, xh, out=t)
+    t *= s.proj
+    dxh -= s.mean
+    dxh -= t
+    dxh *= inv
 
 
 def backward(
@@ -273,35 +403,50 @@ def backward(
     cache: ForwardCache,
     labels: np.ndarray,
     pos_weight: float = 1.0,
+    *,
+    out: RouterParams | None = None,
 ) -> RouterParams:
-    """Exact gradients of the mean loss w.r.t. every parameter array."""
+    """Exact gradients of the mean loss w.r.t. every parameter array, written
+    into `out`'s arrays when given."""
     labels = np.asarray(labels, dtype=np.float64)
-    dz = _loss_grad_logits(cache.logits, labels, pos_weight)[:, None]  # (b, 1)
+    if out is None:
+        out = RouterParams(**{name: np.empty_like(getattr(params, name)) for name in _PARAM_ORDER})
+    if cache.scratch is None:
+        cache.scratch = _BackwardScratch.for_rows(cache.x.shape[0])
+    s = cache.scratch
 
-    dw3 = cache.h2.T @ dz
-    db3 = dz.sum(axis=0)
-    dh2 = dz @ params.w3.T
+    s.dz[:, 0] = _loss_grad_logits(cache.logits, labels, pos_weight)
+    np.matmul(cache.h2.T, s.dz, out=out.w3)
+    np.sum(s.dz, axis=0, out=out.b3)
+    np.matmul(s.dz, params.w3.T, out=s.d2)
 
-    dr2 = dh2 * cache.m2 if cache.m2 is not None else dh2
-    dn2 = dr2 * (cache.n2 > 0.0)
-    dg2 = (dn2 * cache.xh2).sum(axis=0)
-    dlnb2 = dn2.sum(axis=0)
-    da2 = _layer_norm_backward(dn2 * params.ln_g2, cache.xh2, cache.inv2)
+    if cache.m2 is not None:
+        s.d2 *= cache.m2
+    np.greater(cache.n2, 0.0, out=s.t2)
+    s.d2 *= s.t2
+    np.multiply(s.d2, cache.xh2, out=s.t2)
+    np.sum(s.t2, axis=0, out=out.ln_g2)
+    np.sum(s.d2, axis=0, out=out.ln_b2)
+    s.d2 *= params.ln_g2
+    _layer_norm_backward(s.d2, cache.xh2, cache.inv2, s.t2, s)
 
-    dw2 = cache.h1.T @ da2
-    db2 = da2.sum(axis=0)
-    dh1 = da2 @ params.w2.T
+    np.matmul(cache.h1.T, s.d2, out=out.w2)
+    np.sum(s.d2, axis=0, out=out.b2)
+    np.matmul(s.d2, params.w2.T, out=s.d1)
 
-    dr1 = dh1 * cache.m1 if cache.m1 is not None else dh1
-    dn1 = dr1 * (cache.n1 > 0.0)
-    dg1 = (dn1 * cache.xh1).sum(axis=0)
-    dlnb1 = dn1.sum(axis=0)
-    da1 = _layer_norm_backward(dn1 * params.ln_g1, cache.xh1, cache.inv1)
+    if cache.m1 is not None:
+        s.d1 *= cache.m1
+    np.greater(cache.n1, 0.0, out=s.t1)
+    s.d1 *= s.t1
+    np.multiply(s.d1, cache.xh1, out=s.t1)
+    np.sum(s.t1, axis=0, out=out.ln_g1)
+    np.sum(s.d1, axis=0, out=out.ln_b1)
+    s.d1 *= params.ln_g1
+    _layer_norm_backward(s.d1, cache.xh1, cache.inv1, s.t1, s)
 
-    dw1 = cache.x.T @ da1
-    db1 = da1.sum(axis=0)
-
-    return RouterParams(dw1, db1, dg1, dlnb1, dw2, db2, dg2, dlnb2, dw3, db3)
+    np.matmul(cache.x.T, s.d1, out=out.w1)
+    np.sum(s.d1, axis=0, out=out.b1)
+    return out
 
 
 def cyclic_lr(step: int, lr_min: float, lr_max: float, half_cycle: int) -> float:
@@ -309,6 +454,18 @@ def cyclic_lr(step: int, lr_min: float, lr_max: float, half_cycle: int) -> float
     cycle = math.floor(1 + step / (2 * half_cycle))
     x = abs(step / half_cycle - 2 * cycle + 1)
     return lr_min + (lr_max - lr_min) * max(0.0, 1.0 - x)
+
+
+def _flat_views(flat: np.ndarray, like: RouterParams) -> RouterParams:
+    """RouterParams whose arrays are views into `flat`, shaped like `like`'s
+    and laid out in _PARAM_ORDER."""
+    arrays, offset = {}, 0
+    for name in _PARAM_ORDER:
+        shape = getattr(like, name).shape
+        size = math.prod(shape)
+        arrays[name] = flat[offset : offset + size].reshape(shape)
+        offset += size
+    return RouterParams(**arrays)
 
 
 def train(
@@ -347,9 +504,11 @@ def train(
     if y_tr.min() == y_tr.max():
         raise ValueError("training split has a single class")
 
-    scaler = fit_scaler(x_raw[in_train])
-    x_tr = transform(scaler, x_raw[in_train])
-    x_val = transform(scaler, x_raw[in_val])
+    x_tr = x_raw[in_train]
+    scaler = fit_scaler(x_tr)
+    transform(scaler, x_tr, out=x_tr)
+    x_val = x_raw[in_val]
+    transform(scaler, x_val, out=x_val)
     y_val = y[in_val]
 
     n_pos = int(y_tr.sum())
@@ -359,19 +518,31 @@ def train(
         else (y_tr.shape[0] - n_pos) / n_pos
     )
 
-    params = init_params(x_tr.shape[1], substream(config.seed, "init"))
+    # Parameters, gradients and velocity are three flat vectors behind the
+    # per-array views, so the momentum update is four flat ops.
+    init = init_params(x_tr.shape[1], substream(config.seed, "init"))
+    flat = np.concatenate([getattr(init, name).ravel() for name in _PARAM_ORDER])
+    params = _flat_views(flat, init)
+    _checked_rows(params, x_tr)
+    _checked_rows(params, x_val)
+    flat_grads = np.empty_like(flat)
+    grads = _flat_views(flat_grads, init)
+    velocity = np.zeros_like(flat)
+    delta = np.empty_like(flat)
+    best_flat = flat.copy()
     shuffle_rng = substream(config.seed, "shuffle")
     dropout_rng = substream(config.seed, "dropout")
-    velocity = {name: np.zeros_like(getattr(params, name)) for name in _PARAM_ORDER}
 
     n_tr = x_tr.shape[0]
     steps_per_epoch = math.ceil(n_tr / config.batch_size)
     half_cycle = config.cycle_length or 2 * steps_per_epoch
+    # One forward cache per batch size (the last batch may be short), its x
+    # the batch rows: made by the first step of that size, then overwritten.
+    caches: dict[int, ForwardCache] = {}
 
     history: list[EpochStats] = []
     best_acc = -1.0
     best_epoch = 0
-    best_params = params.copy()
     step = 0
 
     for epoch in range(1, config.epochs + 1):
@@ -380,34 +551,38 @@ def train(
         loss_sum = 0.0
         for lo in range(0, n_tr, config.batch_size):
             batch = perm[lo : lo + config.batch_size]
+            cache = caches.get(len(batch))
+            xb = np.take(x_tr, batch, axis=0, out=None if cache is None else cache.x)
+            yb = y_tr[batch]
             lr = cyclic_lr(step, config.lr_min, config.lr_max, half_cycle)
             cache = forward_cache(
                 params,
-                x_tr[batch],
+                xb,
                 dropout_rate=config.dropout_rate,
                 train=True,
                 rng=dropout_rng,
+                out=cache,
             )
-            loss_sum += bce_with_logits(cache.logits, y_tr[batch], pos_weight) * len(batch)
-            grads = backward(params, cache, y_tr[batch], pos_weight)
-            for name in _PARAM_ORDER:
-                v = velocity[name]
-                v *= config.momentum
-                v += getattr(grads, name)
-                getattr(params, name)[...] -= lr * v
+            caches[len(batch)] = cache
+            loss_sum += bce_with_logits(cache.logits, yb, pos_weight) * len(batch)
+            backward(params, cache, yb, pos_weight, out=grads)
+            velocity *= config.momentum
+            velocity += flat_grads
+            np.multiply(velocity, lr, out=delta)
+            flat -= delta
             step += 1
         lr_end = cyclic_lr(step - 1, config.lr_min, config.lr_max, half_cycle)
 
-        val_logits = forward(params, x_val)
+        val_logits = _eval_logits(params, x_val)
         val_acc = float(np.mean((_sigmoid(val_logits) >= 0.5) == (y_val == 1.0)))
         history.append(EpochStats(epoch, loss_sum / n_tr, val_acc, lr_start, lr_end))
         if val_acc > best_acc:
             best_acc = val_acc
             best_epoch = epoch
-            best_params = params.copy()
+            np.copyto(best_flat, flat)
 
     model = RouterModel(
-        params=best_params,
+        params=_flat_views(best_flat, init),
         scaler=scaler,
         dropout_rate=config.dropout_rate,
         threshold=0.5,
@@ -461,12 +636,6 @@ def serialize_model(model: RouterModel) -> bytes:
         blob += np.ascontiguousarray(getattr(model.params, name), dtype="<f8").tobytes()
     blob += struct.pack("<I", zlib.crc32(bytes(blob)))
     return bytes(blob)
-
-
-def save_model(model: RouterModel, path) -> None:
-    """Serialize to the RRM1 container with a trailing CRC32."""
-    with open(path, "wb") as fh:
-        fh.write(serialize_model(model))
 
 
 def load_model(path) -> RouterModel:

@@ -39,11 +39,6 @@ def vector_file_bytes(ids: np.ndarray, vectors: np.ndarray) -> bytes:
     return _HEADER.pack(MAGIC, d, n) + rec.tobytes()
 
 
-def write_vectors(path: str | Path, ids: np.ndarray, vectors: np.ndarray) -> None:
-    """Write (ids, vectors) to `path` in the FVR1 record format."""
-    Path(path).write_bytes(vector_file_bytes(ids, vectors))
-
-
 def read_vectors(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read an FVR1 file; returns (ids int64, vectors float64)."""
     raw = Path(path).read_bytes()

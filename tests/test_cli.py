@@ -8,9 +8,11 @@ import pytest
 
 import fedvec.cli
 from fedvec.cli import main
+from fedvec.datasets import SplitSpec, import_shards, split_by_query
 from fedvec.features import ScalerParams, feature_dim
-from fedvec.router import RouterModel, init_params, save_model
-from fedvec.vecio import write_vectors
+from fedvec.federation import route
+from fedvec.router import RouterModel, init_params, load_model, serialize_model
+from fedvec.vecio import read_vectors, vector_file_bytes
 
 CONFIG = {
     "seed": 21,
@@ -48,7 +50,7 @@ def trained_run_with_queries(tmp, ids):
     (tmp / "cfg.json").write_text(json.dumps(CONFIG))
     for command in ("synth", "label", "train"):
         assert run(tmp, "--config", "cfg.json", command) == 0
-    write_vectors(tmp / "run" / "queries_train.fvr", ids, np.zeros((len(ids), 4)))
+    (tmp / "run" / "queries_train.fvr").write_bytes(vector_file_bytes(ids, np.zeros((len(ids), 4))))
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +126,27 @@ class TestPipeline:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("import: 3 shards")
         assert sum("density" in line for line in lines) == 3
+
+    def test_train_stores_config_threshold(self, tmp_path):
+        """route() selects with the model's stored threshold, eval with the
+        config's: train must store the config's so that both agree."""
+        (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
+        for command in ("synth", "label", "train", "eval"):
+            assert run(tmp_path, "--config", "cfg.json", "--threshold", "0.3", command) == 0
+        out = tmp_path / "run"
+        model = load_model(out / "router.rrm")
+        assert model.threshold == 0.3
+        stats = [s.stats for s in import_shards(out / "manifest.json")]
+        qids, qvecs = read_vectors(out / "queries_train.fvr")
+        queries = dict(zip(qids.tolist(), qvecs))
+        predicted = [
+            row for row in map(json.loads, (out / "traces.jsonl").read_text().splitlines())
+            if row["strategy"] == "predicted"
+        ]
+        assert predicted
+        for row in predicted:
+            decision = route(model, row["query_id"], queries[row["query_id"]], stats)
+            assert [int(v) for v in decision.selected] == row["selected"], row["query_id"]
 
     def test_seed_flag_changes_synth_output(self, pipeline):
         base = (pipeline / "run" / "queries_train.fvr").read_bytes()
@@ -202,6 +225,21 @@ class TestFailures:
         err = capsys.readouterr().err
         assert "error:" in err and "['features', 'label', 'query_id']" in err
 
+    def test_non_finite_feature_in_labels(self, tmp_path, capsys):
+        """One NaN feature in a training row, then in a validation row."""
+        (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
+        for command in ("synth", "label"):
+            assert run(tmp_path, "--config", "cfg.json", command) == 0
+        labels_path = tmp_path / "run" / "labels.npy"
+        clean = np.load(labels_path)
+        for split_queries in split_by_query(clean["query_id"], SplitSpec(seed=CONFIG["seed"]))[:2]:
+            table = clean.copy()
+            table["features"][np.isin(table["query_id"], sorted(split_queries)).argmax(), 2] = np.nan
+            np.save(labels_path, table)
+            assert run(tmp_path, "--config", "cfg.json", "train") == 2
+            assert "error: non-finite input" in capsys.readouterr().err
+            assert not (tmp_path / "run" / "router.rrm").exists()
+
     def test_manifest_without_shards(self, tmp_path, capsys):
         (tmp_path / "run").mkdir()
         (tmp_path / "run" / "manifest.json").write_text('{"dimension": 32, "shards": []}')
@@ -221,7 +259,7 @@ class TestFailures:
             threshold=0.5,
             seed=0,
         )
-        save_model(model, tmp_path / "run" / "router.rrm")
+        (tmp_path / "run" / "router.rrm").write_bytes(serialize_model(model))
 
         def no_scan(*args):
             raise AssertionError("eval scanned shards with an unusable model")

@@ -12,7 +12,7 @@ from fedvec.datasets import (
     kmeans_shard,
     split_by_query,
 )
-from fedvec.vecio import manifest_bytes, write_vectors
+from fedvec.vecio import manifest_bytes, vector_file_bytes
 
 
 def four_blobs(per_blob=25, seed=19):
@@ -185,7 +185,7 @@ class TestImport:
         for sid in (0, 1):
             ids = np.arange(5) + 10 * sid
             vectors = rng.standard_normal((5, 3))
-            write_vectors(tmp_path / f"s{sid}.fvr", ids, vectors)
+            (tmp_path / f"s{sid}.fvr").write_bytes(vector_file_bytes(ids, vectors))
             written[sid] = (ids, vectors)
         (tmp_path / "manifest.json").write_bytes(manifest_bytes(3, {0: "s0.fvr", 1: "s1.fvr"}))
         shards = import_shards(tmp_path / "manifest.json")
@@ -199,7 +199,7 @@ class TestImport:
             )
 
     def test_dimension_mismatch(self, tmp_path):
-        write_vectors(tmp_path / "s0.fvr", np.arange(4), np.zeros((4, 2)))
+        (tmp_path / "s0.fvr").write_bytes(vector_file_bytes(np.arange(4), np.zeros((4, 2))))
         (tmp_path / "manifest.json").write_bytes(manifest_bytes(3, {0: "s0.fvr"}))
         with pytest.raises(ValueError, match="dimension 2 != manifest 3"):
             import_shards(tmp_path / "manifest.json")

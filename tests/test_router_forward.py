@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from fedvec.router import (
+    _PARAM_ORDER,
     HIDDEN1,
     HIDDEN2,
     LN_EPS,
@@ -73,6 +74,18 @@ class TestForward:
         c = forward(params, x, dropout_rate=0.5, train=True, rng=substream(4, "dropout"))
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_blocked_eval_equals_one_block_forward(self):
+        """Eval mode runs rows in blocks; whatever the row count, its logits
+        have the bits of one forward_cache over all the rows."""
+        rng = np.random.default_rng(5)
+        params = init_params(67, rng)
+        for name in _PARAM_ORDER:  # off the init's zero biases and unit gains
+            arr = getattr(params, name)
+            arr += 0.1 * rng.standard_normal(arr.shape)
+        for n in (1, 7, 127, 255, 256, 257, 2000, 2001):
+            x = rng.standard_normal((n, 67))
+            assert forward(params, x).tobytes() == forward_cache(params, x).logits.tobytes(), n
 
     def test_train_dropout_requires_rng(self):
         params = init_params(5, np.random.default_rng(0))

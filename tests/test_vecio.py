@@ -9,7 +9,6 @@ from fedvec.vecio import (
     read_manifest,
     read_vectors,
     vector_file_bytes,
-    write_vectors,
 )
 
 
@@ -18,7 +17,7 @@ def test_round_trip(tmp_path):
     ids = np.array([3, 1, 2**40], dtype=np.int64)
     vecs = rng.standard_normal((3, 5)).astype(np.float32).astype(np.float64)
     path = tmp_path / "v.fvr"
-    write_vectors(path, ids, vecs)
+    path.write_bytes(vector_file_bytes(ids, vecs))
     rids, rvecs = read_vectors(path)
     np.testing.assert_array_equal(rids, ids)
     np.testing.assert_array_equal(rvecs, vecs)  # f32-representable -> lossless
@@ -33,7 +32,7 @@ def test_serialization_is_deterministic():
 
 def test_bad_magic(tmp_path):
     path = tmp_path / "v.fvr"
-    write_vectors(path, np.array([1]), np.ones((1, 2)))
+    path.write_bytes(vector_file_bytes(np.array([1]), np.ones((1, 2))))
     raw = bytearray(path.read_bytes())
     raw[0] ^= 0xFF
     path.write_bytes(bytes(raw))
@@ -43,7 +42,7 @@ def test_bad_magic(tmp_path):
 
 def test_truncated_body(tmp_path):
     path = tmp_path / "v.fvr"
-    write_vectors(path, np.array([1, 2]), np.ones((2, 3)))
+    path.write_bytes(vector_file_bytes(np.array([1, 2]), np.ones((2, 3))))
     raw = path.read_bytes()
     path.write_bytes(raw[:-4])
     with pytest.raises(VectorFileError, match="bytes"):
@@ -89,7 +88,7 @@ def test_manifest_missing_keys(tmp_path):
 
 def test_id_above_int64_range(tmp_path):
     path = tmp_path / "v.fvr"
-    write_vectors(path, np.array([7, 2**63 + 5], dtype=np.uint64), np.ones((2, 3)))
+    path.write_bytes(vector_file_bytes(np.array([7, 2**63 + 5], dtype=np.uint64), np.ones((2, 3))))
     with pytest.raises(VectorFileError, match="does not fit in int64"):
         read_vectors(path)
 
