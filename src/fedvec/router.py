@@ -4,7 +4,13 @@ Architecture (fixed): affine -> LayerNorm -> ReLU -> Dropout, twice
 (widths 256 then 128), then an affine head producing one raw logit.
 Training is SGD with momentum under a triangular cyclic learning rate,
 minimizing binary cross-entropy with logits and a positive-class weight.
-All math is float64 and fully deterministic under the config seed.
+
+The forward and backward passes run in the parameters' dtype. Training runs
+its SGD steps and validation in float32 on float32 copies of the
+standardized splits; the scaler is fit in float64, and the returned model's
+arrays are the best epoch's float32 values upcast exactly to float64, so
+stored weights and all inference are float64. Everything is deterministic
+under the config seed.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -23,8 +30,6 @@ from .rng import substream
 HIDDEN1 = 256
 HIDDEN2 = 128
 LN_EPS = 1e-5
-# Value of the normalizer on a variance-floored row; used to detect clamping.
-_INV_AT_FLOOR = 1.0 / math.sqrt(LN_EPS)
 # Eval-mode inference runs its rows in blocks of this many, the last block
 # taking the remainder (so n >= 256 rows make n // 128 blocks of 128..255).
 # Blocks start at multiples of 128 because BLAS groups rows from a block's
@@ -137,13 +142,19 @@ def _layer_norm(a: np.ndarray, xh: np.ndarray, inv: np.ndarray, sq: np.ndarray) 
     np.multiply(xh, xh, out=sq)
     np.sum(sq, axis=1, keepdims=True, out=inv)
     inv /= h
+    _normalizer(inv)
+    xh *= inv
+
+
+def _normalizer(var: np.ndarray) -> np.ndarray:
+    """Turn row variances into 1/sqrt(max(var, eps)) in place, in var's dtype."""
     # eps floors the variance instead of shifting it: any row with var >= eps
     # normalizes to variance exactly 1 rather than var/(var+eps), and rows
     # with var < eps (constant or nearly so) stay finite.
-    np.maximum(inv, LN_EPS, out=inv)
-    np.sqrt(inv, out=inv)
-    np.divide(1.0, inv, out=inv)
-    xh *= inv
+    np.maximum(var, LN_EPS, out=var)
+    np.sqrt(var, out=var)
+    np.divide(1.0, var, out=var)
+    return var
 
 
 def _dropout_mask(
@@ -151,11 +162,13 @@ def _dropout_mask(
     rate: float,
     rng: np.random.Generator,
     out: np.ndarray | None = None,
+    dtype: np.dtype = np.dtype(np.float64),
 ) -> np.ndarray:
-    """A fresh inverted-dropout mask, drawn into `out` when given; either way
-    the draw takes the same values from rng's stream."""
+    """A fresh inverted-dropout mask of `dtype`, drawn into `out` (of that
+    dtype) when given; either way the draw takes the same values from rng's
+    stream."""
     # Inverted dropout: surviving units scaled by 1/(1-rate) so eval is identity.
-    mask = rng.random(shape, out=out)
+    mask = rng.random(shape, dtype=dtype, out=out)
     np.greater_equal(mask, rate, out=mask)
     mask /= 1.0 - rate
     return mask
@@ -164,7 +177,8 @@ def _dropout_mask(
 @dataclass
 class _BackwardScratch:
     """backward's own arrays for b rows: the logit gradient, per-row sums,
-    and a gradient and a scratch block for each hidden width."""
+    a gradient and a scratch block for each hidden width, and `floor`, the
+    layer norm's normalizer on a variance-floored row in this dtype."""
 
     dz: np.ndarray
     mean: np.ndarray
@@ -174,14 +188,17 @@ class _BackwardScratch:
     t1: np.ndarray
     d2: np.ndarray
     t2: np.ndarray
+    floor: np.ndarray
 
     @classmethod
-    def for_rows(cls, b: int) -> "_BackwardScratch":
+    def for_rows(cls, b: int, dtype: np.dtype) -> "_BackwardScratch":
         col = (b, 1)
+        empty = partial(np.empty, dtype=dtype)
         return cls(
-            np.empty(col), np.empty(col), np.empty(col), np.empty(col, dtype=bool),
-            np.empty((b, HIDDEN1)), np.empty((b, HIDDEN1)),
-            np.empty((b, HIDDEN2)), np.empty((b, HIDDEN2)),
+            empty(col), empty(col), empty(col), np.empty(col, dtype=bool),
+            empty((b, HIDDEN1)), empty((b, HIDDEN1)),
+            empty((b, HIDDEN2)), empty((b, HIDDEN2)),
+            _normalizer(np.zeros(1, dtype)),
         )
 
 
@@ -212,7 +229,10 @@ class ForwardCache:
 
 
 def _checked_rows(params: RouterParams, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+    """x as rows of the parameters' dtype, checked finite after the cast: a
+    float64 value beyond float32's range becomes inf."""
+    with np.errstate(over="ignore"):
+        x = np.asarray(x, dtype=params.w1.dtype)
     if x.ndim != 2 or x.shape[1] != params.w1.shape[0]:
         raise ValueError(f"expected (b, {params.w1.shape[0]}) input, got {x.shape}")
     if not np.all(np.isfinite(x)):
@@ -264,16 +284,19 @@ def forward_cache(
     In train mode with dropout_rate > 0, masks come from `masks` if given
     (gradient checking needs them pinned) or are drawn from `rng`. `out` is
     a cache from an earlier call on as many rows: the pass overwrites its
-    arrays instead of allocating, and takes x as already checked.
+    arrays instead of allocating, and takes x as already checked. Every
+    array, masks included, has the parameters' dtype.
     """
+    dtype = params.w1.dtype
     if out is None:
         x = _checked_rows(params, x)
         b = x.shape[0]
         wide, narrow, col = (b, HIDDEN1), (b, HIDDEN2), (b, 1)
+        empty = partial(np.empty, dtype=dtype)
         out = ForwardCache(
-            x, np.empty(wide), np.empty(wide), np.empty(col), np.empty(wide), None, np.empty(wide),
-            np.empty(narrow), np.empty(narrow), np.empty(col), np.empty(narrow), None, np.empty(narrow),
-            np.empty(b),
+            x, empty(wide), empty(wide), empty(col), empty(wide), None, empty(wide),
+            empty(narrow), empty(narrow), empty(col), empty(narrow), None, empty(narrow),
+            empty(b),
         )
     out.x = x
 
@@ -285,15 +308,16 @@ def forward_cache(
         raise ValueError("train-mode dropout needs an rng or explicit masks")
     else:
         b = x.shape[0]
-        out.m1 = _dropout_mask((b, HIDDEN1), dropout_rate, rng, out=out.m1)
-        out.m2 = _dropout_mask((b, HIDDEN2), dropout_rate, rng, out=out.m2)
+        out.m1 = _dropout_mask((b, HIDDEN1), dropout_rate, rng, out=out.m1, dtype=dtype)
+        out.m2 = _dropout_mask((b, HIDDEN2), dropout_rate, rng, out=out.m2, dtype=dtype)
 
     _forward_into(params, x, out, out.h1, out.h2)
     return out
 
 
 def _eval_logits(params: RouterParams, x: np.ndarray) -> np.ndarray:
-    """Eval-mode logits of checked, standardized rows x (n, f).
+    """Eval-mode logits of checked, standardized rows x (n, f), in the
+    parameters' dtype.
 
     Rows go through in blocks of INFER_BLOCK, the last block taking the
     remainder, on buffers sized for the widest block, so memory stays bounded
@@ -302,11 +326,12 @@ def _eval_logits(params: RouterParams, x: np.ndarray) -> np.ndarray:
     n = x.shape[0]
     edges = [i * INFER_BLOCK for i in range(max(1, n // INFER_BLOCK))] + [n]
     widest = max(hi - lo for lo, hi in zip(edges, edges[1:]))
-    wide = np.empty(widest * HIDDEN1)
-    narrow = np.empty(widest * HIDDEN2)
-    sq = np.empty(widest * HIDDEN1)
-    inv = np.empty((widest, 1))
-    logits = np.empty(n)
+    dtype = params.w1.dtype
+    wide = np.empty(widest * HIDDEN1, dtype)
+    narrow = np.empty(widest * HIDDEN2, dtype)
+    sq = np.empty(widest * HIDDEN1, dtype)
+    inv = np.empty((widest, 1), dtype)
+    logits = np.empty(n, dtype)
     for lo, hi in zip(edges, edges[1:]):
         b = hi - lo
         h1 = wide[: b * HIDDEN1].reshape(b, HIDDEN1)
@@ -371,6 +396,7 @@ def _loss_grad_logits(
     logits: np.ndarray, labels: np.ndarray, pos_weight: float
 ) -> np.ndarray:
     # d/dz of the mean loss: ((1-y)*sigma(z) - pw*y*sigma(-z)) / b
+    logits = np.asarray(logits, dtype=np.float64)
     return ((1.0 - labels) * _sigmoid(logits) - pos_weight * labels * _sigmoid(-logits)) / (
         logits.shape[0]
     )
@@ -382,15 +408,15 @@ def _layer_norm_backward(
     """Turn dxh into d/da in place, with t (b, h) as scratch."""
     # d/da for xh = (a - mean(a)) * inv, population variance per row. The
     # variance term flows only where the floor is inactive; on clamped rows
-    # inv is a constant w.r.t. a. inv == _INV_AT_FLOOR is exact there because
-    # both sides round the same double the same way.
+    # inv is a constant w.r.t. a. inv == s.floor is exact there because both
+    # come from _normalizer's ops in the same dtype.
     h = dxh.shape[1]
     np.sum(dxh, axis=1, keepdims=True, out=s.mean)
     s.mean /= h
     np.multiply(dxh, xh, out=t)
     np.sum(t, axis=1, keepdims=True, out=s.proj)
     s.proj /= h
-    np.less(inv, _INV_AT_FLOOR, out=s.live)
+    np.less(inv, s.floor, out=s.live)
     np.multiply(s.live, xh, out=t)
     t *= s.proj
     dxh -= s.mean
@@ -406,13 +432,14 @@ def backward(
     *,
     out: RouterParams | None = None,
 ) -> RouterParams:
-    """Exact gradients of the mean loss w.r.t. every parameter array, written
-    into `out`'s arrays when given."""
+    """Exact gradients of the mean loss w.r.t. every parameter array, in the
+    parameters' dtype, written into `out`'s arrays when given. The logit
+    gradient is taken in float64 from the batch's logits."""
     labels = np.asarray(labels, dtype=np.float64)
     if out is None:
         out = RouterParams(**{name: np.empty_like(getattr(params, name)) for name in _PARAM_ORDER})
     if cache.scratch is None:
-        cache.scratch = _BackwardScratch.for_rows(cache.x.shape[0])
+        cache.scratch = _BackwardScratch.for_rows(cache.x.shape[0], params.w1.dtype)
     s = cache.scratch
 
     s.dz[:, 0] = _loss_grad_logits(cache.logits, labels, pos_weight)
@@ -481,7 +508,8 @@ def train(
     labelled labels[i] (1 iff the shard holds part of the global top-k).
     The scaler and the default pos_weight are fit on the training split only.
     The returned model is the epoch checkpoint with the highest validation
-    accuracy at threshold 0.5 (earliest epoch wins ties).
+    accuracy at threshold 0.5 (earliest epoch wins ties), its float32
+    parameters upcast to float64.
     """
     x_raw = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -494,6 +522,14 @@ def train(
         raise ValueError("dropout_rate must be in [0, 1)")
     if not 0.0 < config.lr_min <= config.lr_max:
         raise ValueError("need 0 < lr_min <= lr_max")
+    if not 0.0 <= config.momentum < 1.0:
+        raise ValueError("momentum must be in [0, 1)")
+    if config.pos_weight is not None and not (
+        math.isfinite(config.pos_weight) and config.pos_weight > 0.0
+    ):
+        raise ValueError("pos_weight must be finite and positive")
+    if config.cycle_length is not None and config.cycle_length < 1:
+        raise ValueError("cycle_length must be >= 1")
 
     train_q, val_q, _ = split_by_query(qids, split)
     in_train = np.isin(qids, sorted(train_q))
@@ -507,8 +543,19 @@ def train(
     x_tr = x_raw[in_train]
     scaler = fit_scaler(x_tr)
     transform(scaler, x_tr, out=x_tr)
+
+    # SGD and validation run in float32. The float64 initial draw is rounded
+    # once, and each split is cast (then checked) right after it is
+    # standardized, so no split is held in both dtypes past its cast.
+    # Parameters, gradients and velocity are three flat vectors behind the
+    # per-array views, so the momentum update is four flat ops.
+    init = init_params(x_tr.shape[1], substream(config.seed, "init"))
+    flat = np.concatenate([getattr(init, name).ravel() for name in _PARAM_ORDER], dtype=np.float32)
+    params = _flat_views(flat, init)
+    x_tr = _checked_rows(params, x_tr)
     x_val = x_raw[in_val]
     transform(scaler, x_val, out=x_val)
+    x_val = _checked_rows(params, x_val)
     y_val = y[in_val]
 
     n_pos = int(y_tr.sum())
@@ -518,13 +565,6 @@ def train(
         else (y_tr.shape[0] - n_pos) / n_pos
     )
 
-    # Parameters, gradients and velocity are three flat vectors behind the
-    # per-array views, so the momentum update is four flat ops.
-    init = init_params(x_tr.shape[1], substream(config.seed, "init"))
-    flat = np.concatenate([getattr(init, name).ravel() for name in _PARAM_ORDER])
-    params = _flat_views(flat, init)
-    _checked_rows(params, x_tr)
-    _checked_rows(params, x_val)
     flat_grads = np.empty_like(flat)
     grads = _flat_views(flat_grads, init)
     velocity = np.zeros_like(flat)
@@ -573,8 +613,7 @@ def train(
             step += 1
         lr_end = cyclic_lr(step - 1, config.lr_min, config.lr_max, half_cycle)
 
-        val_logits = _eval_logits(params, x_val)
-        val_acc = float(np.mean((_sigmoid(val_logits) >= 0.5) == (y_val == 1.0)))
+        val_acc = float(np.mean((_eval_logits(params, x_val) >= 0.0) == (y_val == 1.0)))
         history.append(EpochStats(epoch, loss_sum / n_tr, val_acc, lr_start, lr_end))
         if val_acc > best_acc:
             best_acc = val_acc
@@ -582,7 +621,7 @@ def train(
             np.copyto(best_flat, flat)
 
     model = RouterModel(
-        params=_flat_views(best_flat, init),
+        params=_flat_views(best_flat.astype(np.float64), init),
         scaler=scaler,
         dropout_rate=config.dropout_rate,
         threshold=0.5,

@@ -240,6 +240,33 @@ class TestFailures:
             assert "error: non-finite input" in capsys.readouterr().err
             assert not (tmp_path / "run" / "router.rrm").exists()
 
+    def test_out_of_range_train_config(self, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
+        for command in ("synth", "label"):
+            assert run(tmp_path, "--config", "cfg.json", command) == 0
+        bad = {**CONFIG, "train": {**CONFIG["train"], "momentum": 3.0}}
+        (tmp_path / "cfg.json").write_text(json.dumps(bad))
+        assert run(tmp_path, "--config", "cfg.json", "train") == 2
+        assert "error: momentum must be in [0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "router.rrm").exists()
+
+    def test_standardized_value_beyond_float32(self, tmp_path, capsys):
+        """Feature 0 is constant over the training rows, so its std is
+        floored at 1e-8, and one validation row sits 1e31 away: it
+        standardizes to 1e39, finite in float64 but not in float32."""
+        (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
+        for command in ("synth", "label"):
+            assert run(tmp_path, "--config", "cfg.json", command) == 0
+        labels_path = tmp_path / "run" / "labels.npy"
+        table = np.load(labels_path)
+        _, val_q, _ = split_by_query(table["query_id"], SplitSpec(seed=CONFIG["seed"]))
+        table["features"][:, 0] = 0.5
+        table["features"][np.isin(table["query_id"], sorted(val_q)).argmax(), 0] = 0.5 + 1e31
+        np.save(labels_path, table)
+        assert run(tmp_path, "--config", "cfg.json", "train") == 2
+        assert "error: non-finite input" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "router.rrm").exists()
+
     def test_manifest_without_shards(self, tmp_path, capsys):
         (tmp_path / "run").mkdir()
         (tmp_path / "run" / "manifest.json").write_text('{"dimension": 32, "shards": []}')

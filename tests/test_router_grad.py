@@ -11,8 +11,11 @@ import pytest
 from fedvec.router import (
     LN_EPS,
     _PARAM_ORDER,
+    _BackwardScratch,
     _dropout_mask,
+    _layer_norm_backward,
     _loss_grad_logits,
+    _normalizer,
     backward,
     bce_with_logits,
     forward_cache,
@@ -125,6 +128,32 @@ class TestFiniteDifferences:
         worst = max_rel_err(params, x, y, 1.0, None, probes_per_array=4, seed=3,
                             h=1e-5)
         assert worst < 1e-5
+
+
+class TestLayerNormFloor:
+    def test_floor_test_is_exact_in_float32(self):
+        """In float32 a floored row's normalizer is 316.22778, and a row
+        whose variance is one float32 step above eps gets 316.22775, which is
+        also 1/sqrt(eps) rounded to float32: the floor test must compare with
+        the former. Rows: constant (var 0), inside the floor (var eps/4), and
+        one step above eps; only the last is live."""
+        eps = np.float32(LN_EPS)
+        var = np.array([[0.0], [eps / 4], [np.nextafter(eps, np.float32(1.0))]], np.float32)
+        inv = _normalizer(var.copy())
+        assert inv[1, 0] == inv[0, 0] != inv[2, 0]
+        rng = np.random.default_rng(4)
+        xh = rng.standard_normal((3, 8)).astype(np.float32)
+        xh[0] = 0.0
+        dxh = rng.standard_normal((3, 8)).astype(np.float32)
+        scratch = _BackwardScratch.for_rows(3, np.float32)
+        got = dxh.copy()
+        _layer_norm_backward(got, xh, inv, np.empty_like(got), scratch)
+        np.testing.assert_array_equal(scratch.live[:, 0], [False, False, True])
+
+        x64, d64, i64 = (a.astype(np.float64) for a in (xh, dxh, inv))
+        want = d64 - d64.mean(axis=1, keepdims=True)
+        want[2] -= x64[2] * (d64[2] * x64[2]).mean()
+        np.testing.assert_allclose(got, want * i64, rtol=1e-5, atol=1e-3)
 
 
 class TestLossGradient:

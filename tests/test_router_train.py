@@ -17,6 +17,7 @@ from fedvec.router import (
     LN_EPS,
     EpochStats,
     ModelFormatError,
+    RouterParams,
     TrainConfig,
     _sigmoid,
     backward,
@@ -124,6 +125,14 @@ class TestTraining:
             train(*toy_examples(), SPLIT, TrainConfig(dropout_rate=1.0))
         with pytest.raises(ValueError, match="lr_min"):
             train(*toy_examples(), SPLIT, TrainConfig(lr_min=0.0))
+        for momentum in (-0.1, 1.0, 3.0, math.nan):
+            with pytest.raises(ValueError, match="momentum"):
+                train(*toy_examples(), SPLIT, TrainConfig(momentum=momentum))
+        for pos_weight in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="pos_weight"):
+                train(*toy_examples(), SPLIT, TrainConfig(pos_weight=pos_weight))
+        with pytest.raises(ValueError, match="cycle_length"):
+            train(*toy_examples(), SPLIT, TrainConfig(cycle_length=0))
         with pytest.raises(ValueError, match="validation split is empty"):
             train(*toy_examples(), SplitSpec(0.9, 0.0, 0.1, seed=3), cfg)
         single = np.repeat(np.arange(12.0)[:, None], 4, axis=1)
@@ -146,21 +155,25 @@ def floor_examples(n_queries=300, seed=11):
 
 
 def reference_train(features, labels, query_ids, split, config):
-    """train() as a plain loop: fresh arrays every step, momentum array by
-    array, validation through one forward_cache over all validation rows.
-    Returns (best params, history, best epoch, floored training rows seen)."""
+    """train() as a plain loop in float32: the standardized splits and the
+    initial parameters cast once, masks drawn as float32, fresh arrays every
+    step, momentum array by array, validation through one forward_cache over
+    all validation rows. Returns (best params as float32, history, best
+    epoch, floored training rows seen)."""
     y = labels.astype(np.float64)
     train_q, val_q, _ = split_by_query(query_ids, split)
     in_train = np.isin(query_ids, sorted(train_q))
     in_val = np.isin(query_ids, sorted(val_q))
     scaler = fit_scaler(features[in_train])
-    x_tr = transform(scaler, features[in_train])
-    x_val = transform(scaler, features[in_val])
+    x_tr = transform(scaler, features[in_train]).astype(np.float32)
+    x_val = transform(scaler, features[in_val]).astype(np.float32)
     y_tr, y_val = y[in_train], y[in_val]
     n_pos = y_tr.sum()
     pos_weight = (len(y_tr) - n_pos) / n_pos
 
-    params = init_params(x_tr.shape[1], substream(config.seed, "init"))
+    init = init_params(x_tr.shape[1], substream(config.seed, "init"))
+    params = RouterParams(**{name: getattr(init, name).astype(np.float32) for name in _PARAM_ORDER})
+    floor = np.float32(1) / np.sqrt(np.float32(LN_EPS))
     shuffle_rng = substream(config.seed, "shuffle")
     dropout_rng = substream(config.seed, "dropout")
     velocity = {name: np.zeros_like(getattr(params, name)) for name in _PARAM_ORDER}
@@ -177,7 +190,8 @@ def reference_train(features, labels, query_ids, split, config):
             cache = forward_cache(
                 params, x_tr[batch], dropout_rate=config.dropout_rate, train=True, rng=dropout_rng
             )
-            floored += int(np.sum(cache.inv1 == 1.0 / np.sqrt(LN_EPS)))
+            assert cache.m1.dtype == np.float32
+            floored += int(np.sum(cache.inv1 == floor))
             loss_sum += bce_with_logits(cache.logits, y_tr[batch], pos_weight) * len(batch)
             grads = backward(params, cache, y_tr[batch], pos_weight)
             for name in _PARAM_ORDER:
@@ -188,11 +202,39 @@ def reference_train(features, labels, query_ids, split, config):
             step += 1
         lr_end = cyclic_lr(step - 1, config.lr_min, config.lr_max, half_cycle)
         val_logits = forward_cache(params, x_val).logits
-        val_acc = float(np.mean((_sigmoid(val_logits) >= 0.5) == (y_val == 1.0)))
+        val_acc = float(np.mean((val_logits >= 0.0) == (y_val == 1.0)))
         history.append(EpochStats(epoch, loss_sum / len(x_tr), val_acc, lr_start, lr_end))
         if val_acc > best_acc:
             best_acc, best_epoch, best_params = val_acc, epoch, params.copy()
     return best_params, history, best_epoch, floored
+
+
+class TestPrecisionSplit:
+    def test_model_is_float64_upcast_with_float64_inference(self, toy_result):
+        """Training runs in float32, but the model it returns holds float64
+        arrays that are exact float32 values, and predict_batch on them runs
+        the float64 forward: the bits of a hand-rolled float64 pass."""
+        params = toy_result.model.params
+        for name in _PARAM_ORDER:
+            arr = getattr(params, name)
+            assert arr.dtype == np.float64, name
+            assert np.array_equal(arr.astype(np.float32).astype(np.float64), arr), name
+
+        def norm_relu(a, gain, bias):
+            xh = (a - a.mean(axis=1, keepdims=True)) * (
+                1.0 / np.sqrt(np.maximum(a.var(axis=1, keepdims=True), LN_EPS))
+            )
+            return np.maximum(xh * gain + bias, 0.0)
+
+        features, _, _ = toy_examples()
+        scaler = toy_result.model.scaler
+        x = (features - scaler.mean) / scaler.std
+        h1 = norm_relu(x @ params.w1 + params.b1, params.ln_g1, params.ln_b1)
+        h2 = norm_relu(h1 @ params.w2 + params.b2, params.ln_g2, params.ln_b2)
+        logits = (h2 @ params.w3)[:, 0] + params.b3
+        probs = predict_batch(toy_result.model, features)
+        assert probs.dtype == np.float64
+        assert probs.tobytes() == _sigmoid(logits).tobytes()
 
 
 class TestReusedBuffers:
@@ -210,7 +252,8 @@ class TestReusedBuffers:
         assert result.history == history
         assert result.best_epoch == best_epoch
         for name in _PARAM_ORDER:
-            assert getattr(result.model.params, name).tobytes() == getattr(params, name).tobytes(), name
+            got = getattr(result.model.params, name)
+            assert got.astype(np.float32).tobytes() == getattr(params, name).tobytes(), name
 
     def test_traced_peak_is_bounded_by_the_feature_matrix(self):
         """train() holds the two splits and a few batch- or block-sized
