@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +77,26 @@ class RunConfig:
         return self.out / "traces.jsonl"
 
 
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
+_TOP_LEVEL_TYPES = {
+    "seed": "int", "k": "int", "threshold": "float", "out": "str",
+    "manifest": "str", "queries_train": "str", "queries_eval": "str",
+}
+
+
+def _json_type_ok(value, type_name: str) -> bool:
+    """Whether a JSON value fits a config field annotated `type_name`. An
+    integer fits a float; a bool fits no number; null fits only `| None`."""
+    if value is None:
+        return type_name.endswith(" | None")
+    base = type_name.removesuffix(" | None")
+    if base == "tuple[int, int]":
+        return isinstance(value, list) and len(value) == 2 and all(
+            _json_type_ok(v, "int") for v in value
+        )
+    return not isinstance(value, bool) and isinstance(value, _JSON_TYPES[base])
+
+
 def load_config(args: argparse.Namespace) -> RunConfig:
     doc = {}
     if args.config:
@@ -87,8 +107,11 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(doc, dict):
             raise CliError(f"config {args.config} is not a JSON object")
 
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
-    k = args.k if args.k is not None else int(doc.get("k", 10))
+    for name, type_name in _TOP_LEVEL_TYPES.items():
+        if name in doc and not _json_type_ok(doc[name], type_name):
+            raise CliError(f"bad config: {name} must be {type_name}, got {json.dumps(doc[name])}")
+    seed = args.seed if args.seed is not None else doc.get("seed", 0)
+    k = args.k if args.k is not None else doc.get("k", 10)
     threshold = args.threshold if args.threshold is not None else float(doc.get("threshold", 0.5))
     out = Path(args.out if args.out is not None else doc.get("out", "run"))
     if k < 1:
@@ -100,6 +123,12 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         block = doc.get(key, {})
         if not isinstance(block, dict):
             raise CliError(f"bad '{key}' config block: not a JSON object")
+        for f in fields(cls):
+            if f.name in block and not _json_type_ok(block[f.name], f.type):
+                raise CliError(
+                    f"bad '{key}' config block: {f.name} must be {f.type}, "
+                    f"got {json.dumps(block[f.name])}"
+                )
         try:
             return cls(**{"seed": seed, **block})
         except TypeError as exc:

@@ -19,7 +19,6 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass, fields
-from functools import partial
 
 import numpy as np
 
@@ -128,22 +127,17 @@ def init_params(input_dim: int, rng: np.random.Generator) -> RouterParams:
     )
 
 
-def _layer_norm(a: np.ndarray, xh: np.ndarray, inv: np.ndarray, sq: np.ndarray) -> None:
-    """Row-wise normalization of a (b, h) into xh, which may be a itself.
+def _layer_norm(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise normalization; returns (xhat, 1/sqrt(max(var, eps))).
 
-    inv (b, 1) receives 1/sqrt(max(var, eps)); sq (b, h) is scratch. The ops
-    are the ones np.mean and np.var run, so xh has the bits of
+    The ops are the ones np.mean and np.var run, so xhat has the bits of
     `(a - a.mean(1)) * (1 / sqrt(max(a.var(1), eps)))`.
     """
     h = a.shape[1]
-    np.sum(a, axis=1, keepdims=True, out=inv)
-    inv /= h
-    np.subtract(a, inv, out=xh)
-    np.multiply(xh, xh, out=sq)
-    np.sum(sq, axis=1, keepdims=True, out=inv)
-    inv /= h
-    _normalizer(inv)
+    xh = a - a.sum(axis=1, keepdims=True) / h
+    inv = _normalizer((xh * xh).sum(axis=1, keepdims=True) / h)
     xh *= inv
+    return xh, inv
 
 
 def _normalizer(var: np.ndarray) -> np.ndarray:
@@ -161,55 +155,19 @@ def _dropout_mask(
     shape: tuple[int, int],
     rate: float,
     rng: np.random.Generator,
-    out: np.ndarray | None = None,
     dtype: np.dtype = np.dtype(np.float64),
 ) -> np.ndarray:
-    """A fresh inverted-dropout mask of `dtype`, drawn into `out` (of that
-    dtype) when given; either way the draw takes the same values from rng's
-    stream."""
+    """A fresh inverted-dropout mask of `dtype`."""
     # Inverted dropout: surviving units scaled by 1/(1-rate) so eval is identity.
-    mask = rng.random(shape, dtype=dtype, out=out)
+    mask = rng.random(shape, dtype=dtype)
     np.greater_equal(mask, rate, out=mask)
     mask /= 1.0 - rate
     return mask
 
 
 @dataclass
-class _BackwardScratch:
-    """backward's own arrays for b rows: the logit gradient, per-row sums,
-    a gradient and a scratch block for each hidden width, and `floor`, the
-    layer norm's normalizer on a variance-floored row in this dtype."""
-
-    dz: np.ndarray
-    mean: np.ndarray
-    proj: np.ndarray
-    live: np.ndarray
-    d1: np.ndarray
-    t1: np.ndarray
-    d2: np.ndarray
-    t2: np.ndarray
-    floor: np.ndarray
-
-    @classmethod
-    def for_rows(cls, b: int, dtype: np.dtype) -> "_BackwardScratch":
-        col = (b, 1)
-        empty = partial(np.empty, dtype=dtype)
-        return cls(
-            empty(col), empty(col), empty(col), np.empty(col, dtype=bool),
-            empty((b, HIDDEN1)), empty((b, HIDDEN1)),
-            empty((b, HIDDEN2)), empty((b, HIDDEN2)),
-            _normalizer(np.zeros(1, dtype)),
-        )
-
-
-@dataclass
 class ForwardCache:
-    """Every intermediate the backward pass (and the LN invariant tests) needs.
-
-    `scratch` holds backward's own arrays, made on its first call on this
-    cache; train reuses one cache per batch size, so its steps allocate no
-    array of activation size.
-    """
+    """Every intermediate the backward pass (and the LN invariant tests) needs."""
 
     x: np.ndarray
     a1: np.ndarray
@@ -225,7 +183,6 @@ class ForwardCache:
     m2: np.ndarray | None
     h2: np.ndarray
     logits: np.ndarray
-    scratch: _BackwardScratch | None = None
 
 
 def _checked_rows(params: RouterParams, x: np.ndarray) -> np.ndarray:
@@ -240,33 +197,31 @@ def _checked_rows(params: RouterParams, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _forward_into(
-    params: RouterParams, x: np.ndarray, c: ForwardCache, sq1: np.ndarray, sq2: np.ndarray
-) -> None:
-    """The forward pass of rows x into c's arrays; c.m1/c.m2 are the dropout
-    masks or None. Each layer's a, xh, n and h may be one array (eval-mode
-    inference keeps no intermediates); sq1 and sq2 are layer-norm scratch
-    that may be that layer's h, which is written last."""
-    np.matmul(x, params.w1, out=c.a1)
-    c.a1 += params.b1
-    _layer_norm(c.a1, c.xh1, c.inv1, sq1)
-    np.multiply(c.xh1, params.ln_g1, out=c.n1)
-    c.n1 += params.ln_b1
-    np.maximum(c.n1, 0.0, out=c.h1)
-    if c.m1 is not None:
-        c.h1 *= c.m1
+def _forward(
+    params: RouterParams, x: np.ndarray, m1: np.ndarray | None, m2: np.ndarray | None
+) -> ForwardCache:
+    """The forward pass of checked rows x; m1/m2 are the dropout masks or None."""
+    a1 = x @ params.w1
+    a1 += params.b1
+    xh1, inv1 = _layer_norm(a1)
+    n1 = xh1 * params.ln_g1
+    n1 += params.ln_b1
+    h1 = np.maximum(n1, 0.0)
+    if m1 is not None:
+        h1 *= m1
 
-    np.matmul(c.h1, params.w2, out=c.a2)
-    c.a2 += params.b2
-    _layer_norm(c.a2, c.xh2, c.inv2, sq2)
-    np.multiply(c.xh2, params.ln_g2, out=c.n2)
-    c.n2 += params.ln_b2
-    np.maximum(c.n2, 0.0, out=c.h2)
-    if c.m2 is not None:
-        c.h2 *= c.m2
+    a2 = h1 @ params.w2
+    a2 += params.b2
+    xh2, inv2 = _layer_norm(a2)
+    n2 = xh2 * params.ln_g2
+    n2 += params.ln_b2
+    h2 = np.maximum(n2, 0.0)
+    if m2 is not None:
+        h2 *= m2
 
-    np.matmul(c.h2, params.w3, out=c.logits[:, None])
-    c.logits += params.b3
+    logits = (h2 @ params.w3)[:, 0]
+    logits += params.b3
+    return ForwardCache(x, a1, xh1, inv1, n1, m1, h1, a2, xh2, inv2, n2, m2, h2, logits)
 
 
 def forward_cache(
@@ -277,92 +232,41 @@ def forward_cache(
     train: bool = False,
     rng: np.random.Generator | None = None,
     masks: tuple[np.ndarray, np.ndarray] | None = None,
-    out: ForwardCache | None = None,
 ) -> ForwardCache:
     """Full forward pass over standardized rows x (b, f), keeping intermediates.
 
     In train mode with dropout_rate > 0, masks come from `masks` if given
-    (gradient checking needs them pinned) or are drawn from `rng`. `out` is
-    a cache from an earlier call on as many rows: the pass overwrites its
-    arrays instead of allocating, and takes x as already checked. Every
+    (gradient checking needs them pinned) or are drawn from `rng`. Every
     array, masks included, has the parameters' dtype.
     """
-    dtype = params.w1.dtype
-    if out is None:
-        x = _checked_rows(params, x)
-        b = x.shape[0]
-        wide, narrow, col = (b, HIDDEN1), (b, HIDDEN2), (b, 1)
-        empty = partial(np.empty, dtype=dtype)
-        out = ForwardCache(
-            x, empty(wide), empty(wide), empty(col), empty(wide), None, empty(wide),
-            empty(narrow), empty(narrow), empty(col), empty(narrow), None, empty(narrow),
-            empty(b),
-        )
-    out.x = x
-
+    x = _checked_rows(params, x)
     if not (train and dropout_rate > 0.0):
-        out.m1 = out.m2 = None
-    elif masks is not None:
-        out.m1, out.m2 = masks
-    elif rng is None:
-        raise ValueError("train-mode dropout needs an rng or explicit masks")
-    else:
-        b = x.shape[0]
-        out.m1 = _dropout_mask((b, HIDDEN1), dropout_rate, rng, out=out.m1, dtype=dtype)
-        out.m2 = _dropout_mask((b, HIDDEN2), dropout_rate, rng, out=out.m2, dtype=dtype)
-
-    _forward_into(params, x, out, out.h1, out.h2)
-    return out
+        masks = (None, None)
+    elif masks is None:
+        if rng is None:
+            raise ValueError("train-mode dropout needs an rng or explicit masks")
+        b, dtype = x.shape[0], params.w1.dtype
+        masks = (
+            _dropout_mask((b, HIDDEN1), dropout_rate, rng, dtype),
+            _dropout_mask((b, HIDDEN2), dropout_rate, rng, dtype),
+        )
+    return _forward(params, x, *masks)
 
 
-def _eval_logits(params: RouterParams, x: np.ndarray) -> np.ndarray:
-    """Eval-mode logits of checked, standardized rows x (n, f), in the
-    parameters' dtype.
+def forward(params: RouterParams, x: np.ndarray) -> np.ndarray:
+    """Eval-mode logits for rows x (n, f), in the parameters' dtype.
 
     Rows go through in blocks of INFER_BLOCK, the last block taking the
-    remainder, on buffers sized for the widest block, so memory stays bounded
-    whatever n is and no intermediate outlives its block.
+    remainder, so memory stays bounded whatever n is and no intermediate
+    outlives its block.
     """
+    x = _checked_rows(params, x)
     n = x.shape[0]
     edges = [i * INFER_BLOCK for i in range(max(1, n // INFER_BLOCK))] + [n]
-    widest = max(hi - lo for lo, hi in zip(edges, edges[1:]))
-    dtype = params.w1.dtype
-    wide = np.empty(widest * HIDDEN1, dtype)
-    narrow = np.empty(widest * HIDDEN2, dtype)
-    sq = np.empty(widest * HIDDEN1, dtype)
-    inv = np.empty((widest, 1), dtype)
-    logits = np.empty(n, dtype)
+    logits = np.empty(n, params.w1.dtype)
     for lo, hi in zip(edges, edges[1:]):
-        b = hi - lo
-        h1 = wide[: b * HIDDEN1].reshape(b, HIDDEN1)
-        h2 = narrow[: b * HIDDEN2].reshape(b, HIDDEN2)
-        iv = inv[:b]
-        block = ForwardCache(
-            x[lo:hi], h1, h1, iv, h1, None, h1, h2, h2, iv, h2, None, h2, logits[lo:hi]
-        )
-        _forward_into(
-            params,
-            block.x,
-            block,
-            sq[: b * HIDDEN1].reshape(b, HIDDEN1),
-            sq[: b * HIDDEN2].reshape(b, HIDDEN2),
-        )
+        logits[lo:hi] = _forward(params, x[lo:hi], None, None).logits
     return logits
-
-
-def forward(
-    params: RouterParams,
-    x: np.ndarray,
-    *,
-    dropout_rate: float = 0.0,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Logits for rows x (b, f). Eval mode is deterministic (dropout = identity)
-    and keeps no intermediates."""
-    if train:
-        return forward_cache(params, x, dropout_rate=dropout_rate, train=True, rng=rng).logits
-    return _eval_logits(params, _checked_rows(params, x))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -402,25 +306,18 @@ def _loss_grad_logits(
     )
 
 
-def _layer_norm_backward(
-    dxh: np.ndarray, xh: np.ndarray, inv: np.ndarray, t: np.ndarray, s: _BackwardScratch
-) -> None:
-    """Turn dxh into d/da in place, with t (b, h) as scratch."""
+def _layer_norm_backward(dxh: np.ndarray, xh: np.ndarray, inv: np.ndarray) -> None:
+    """Turn dxh into d/da in place."""
     # d/da for xh = (a - mean(a)) * inv, population variance per row. The
     # variance term flows only where the floor is inactive; on clamped rows
-    # inv is a constant w.r.t. a. inv == s.floor is exact there because both
-    # come from _normalizer's ops in the same dtype.
+    # inv is a constant w.r.t. a. The comparison is exact because both sides
+    # come from _normalizer's ops in inv's dtype.
     h = dxh.shape[1]
-    np.sum(dxh, axis=1, keepdims=True, out=s.mean)
-    s.mean /= h
-    np.multiply(dxh, xh, out=t)
-    np.sum(t, axis=1, keepdims=True, out=s.proj)
-    s.proj /= h
-    np.less(inv, s.floor, out=s.live)
-    np.multiply(s.live, xh, out=t)
-    t *= s.proj
-    dxh -= s.mean
-    dxh -= t
+    mean = dxh.sum(axis=1, keepdims=True) / h
+    proj = (dxh * xh).sum(axis=1, keepdims=True) / h
+    live = inv < _normalizer(np.zeros(1, inv.dtype))
+    dxh -= mean
+    dxh -= live * xh * proj
     dxh *= inv
 
 
@@ -438,41 +335,34 @@ def backward(
     labels = np.asarray(labels, dtype=np.float64)
     if out is None:
         out = RouterParams(**{name: np.empty_like(getattr(params, name)) for name in _PARAM_ORDER})
-    if cache.scratch is None:
-        cache.scratch = _BackwardScratch.for_rows(cache.x.shape[0], params.w1.dtype)
-    s = cache.scratch
 
-    s.dz[:, 0] = _loss_grad_logits(cache.logits, labels, pos_weight)
-    np.matmul(cache.h2.T, s.dz, out=out.w3)
-    np.sum(s.dz, axis=0, out=out.b3)
-    np.matmul(s.dz, params.w3.T, out=s.d2)
+    dz = _loss_grad_logits(cache.logits, labels, pos_weight).astype(params.w1.dtype)[:, None]
+    np.matmul(cache.h2.T, dz, out=out.w3)
+    np.sum(dz, axis=0, out=out.b3)
+    d2 = dz @ params.w3.T
 
     if cache.m2 is not None:
-        s.d2 *= cache.m2
-    np.greater(cache.n2, 0.0, out=s.t2)
-    s.d2 *= s.t2
-    np.multiply(s.d2, cache.xh2, out=s.t2)
-    np.sum(s.t2, axis=0, out=out.ln_g2)
-    np.sum(s.d2, axis=0, out=out.ln_b2)
-    s.d2 *= params.ln_g2
-    _layer_norm_backward(s.d2, cache.xh2, cache.inv2, s.t2, s)
+        d2 *= cache.m2
+    d2 *= cache.n2 > 0.0
+    np.sum(d2 * cache.xh2, axis=0, out=out.ln_g2)
+    np.sum(d2, axis=0, out=out.ln_b2)
+    d2 *= params.ln_g2
+    _layer_norm_backward(d2, cache.xh2, cache.inv2)
 
-    np.matmul(cache.h1.T, s.d2, out=out.w2)
-    np.sum(s.d2, axis=0, out=out.b2)
-    np.matmul(s.d2, params.w2.T, out=s.d1)
+    np.matmul(cache.h1.T, d2, out=out.w2)
+    np.sum(d2, axis=0, out=out.b2)
+    d1 = d2 @ params.w2.T
 
     if cache.m1 is not None:
-        s.d1 *= cache.m1
-    np.greater(cache.n1, 0.0, out=s.t1)
-    s.d1 *= s.t1
-    np.multiply(s.d1, cache.xh1, out=s.t1)
-    np.sum(s.t1, axis=0, out=out.ln_g1)
-    np.sum(s.d1, axis=0, out=out.ln_b1)
-    s.d1 *= params.ln_g1
-    _layer_norm_backward(s.d1, cache.xh1, cache.inv1, s.t1, s)
+        d1 *= cache.m1
+    d1 *= cache.n1 > 0.0
+    np.sum(d1 * cache.xh1, axis=0, out=out.ln_g1)
+    np.sum(d1, axis=0, out=out.ln_b1)
+    d1 *= params.ln_g1
+    _layer_norm_backward(d1, cache.xh1, cache.inv1)
 
-    np.matmul(cache.x.T, s.d1, out=out.w1)
-    np.sum(s.d1, axis=0, out=out.b1)
+    np.matmul(cache.x.T, d1, out=out.w1)
+    np.sum(d1, axis=0, out=out.b1)
     return out
 
 
@@ -548,7 +438,7 @@ def train(
     # once, and each split is cast (then checked) right after it is
     # standardized, so no split is held in both dtypes past its cast.
     # Parameters, gradients and velocity are three flat vectors behind the
-    # per-array views, so the momentum update is four flat ops.
+    # per-array views, so the momentum update is three flat ops.
     init = init_params(x_tr.shape[1], substream(config.seed, "init"))
     flat = np.concatenate([getattr(init, name).ravel() for name in _PARAM_ORDER], dtype=np.float32)
     params = _flat_views(flat, init)
@@ -568,7 +458,6 @@ def train(
     flat_grads = np.empty_like(flat)
     grads = _flat_views(flat_grads, init)
     velocity = np.zeros_like(flat)
-    delta = np.empty_like(flat)
     best_flat = flat.copy()
     shuffle_rng = substream(config.seed, "shuffle")
     dropout_rng = substream(config.seed, "dropout")
@@ -576,9 +465,6 @@ def train(
     n_tr = x_tr.shape[0]
     steps_per_epoch = math.ceil(n_tr / config.batch_size)
     half_cycle = config.cycle_length or 2 * steps_per_epoch
-    # One forward cache per batch size (the last batch may be short), its x
-    # the batch rows: made by the first step of that size, then overwritten.
-    caches: dict[int, ForwardCache] = {}
 
     history: list[EpochStats] = []
     best_acc = -1.0
@@ -591,29 +477,20 @@ def train(
         loss_sum = 0.0
         for lo in range(0, n_tr, config.batch_size):
             batch = perm[lo : lo + config.batch_size]
-            cache = caches.get(len(batch))
-            xb = np.take(x_tr, batch, axis=0, out=None if cache is None else cache.x)
             yb = y_tr[batch]
             lr = cyclic_lr(step, config.lr_min, config.lr_max, half_cycle)
             cache = forward_cache(
-                params,
-                xb,
-                dropout_rate=config.dropout_rate,
-                train=True,
-                rng=dropout_rng,
-                out=cache,
+                params, x_tr[batch], dropout_rate=config.dropout_rate, train=True, rng=dropout_rng
             )
-            caches[len(batch)] = cache
             loss_sum += bce_with_logits(cache.logits, yb, pos_weight) * len(batch)
             backward(params, cache, yb, pos_weight, out=grads)
             velocity *= config.momentum
             velocity += flat_grads
-            np.multiply(velocity, lr, out=delta)
-            flat -= delta
+            flat -= lr * velocity
             step += 1
         lr_end = cyclic_lr(step - 1, config.lr_min, config.lr_max, half_cycle)
 
-        val_acc = float(np.mean((_eval_logits(params, x_val) >= 0.0) == (y_val == 1.0)))
+        val_acc = float(np.mean((forward(params, x_val) >= 0.0) == (y_val == 1.0)))
         history.append(EpochStats(epoch, loss_sum / n_tr, val_acc, lr_start, lr_end))
         if val_acc > best_acc:
             best_acc = val_acc

@@ -1,5 +1,6 @@
 """End-to-end pipeline through main(), byte idempotence, and failure paths."""
 
+import argparse
 import json
 import os
 
@@ -176,11 +177,44 @@ class TestFailures:
             ({"synthetic": "small"}, "bad 'synthetic' config block"),
             ({"synthetic": {"points_per_cluster": 5}}, "bad 'synthetic' config block"),
             ([1, 2], "is not a JSON object"),
+            # A value of the wrong JSON type is rejected before any command runs.
+            ({"train": {"epochs": "2"}}, "bad 'train' config block: epochs must be int"),
+            ({"train": {"batch_size": 64.5, "epochs": 1}}, "batch_size must be int, got 64.5"),
+            ({"train": {"momentum": "0.9"}}, "momentum must be float"),
+            ({"train": {"dropout_rate": True}}, "dropout_rate must be float"),
+            ({"train": {"epochs": None}}, "epochs must be int, got null"),
+            ({"train": {"cycle_length": 2.5}}, "cycle_length must be int | None"),
+            ({"k": [10]}, "bad config: k must be int, got [10]"),
+            ({"k": 10.0}, "bad config: k must be int"),
+            ({"seed": True}, "bad config: seed must be int"),
+            ({"threshold": "0.5"}, "bad config: threshold must be float"),
+            ({"out": 5}, "bad config: out must be str"),
+            ({"synthetic": {"n_clusters": "3"}}, "bad 'synthetic' config block: n_clusters"),
+            ({"synthetic": {"points_per_cluster": ["a", "b"]}}, "points_per_cluster must be"),
+            ({"synthetic": {"points_per_cluster": [1, 2, 3]}}, "points_per_cluster must be"),
+            ({"split": {"train_frac": None}}, "bad 'split' config block: train_frac"),
+            ({"split": {"seed": "1"}}, "bad 'split' config block: seed must be int"),
         ]
         for doc, message in cases:
             (tmp_path / "cfg.json").write_text(json.dumps(doc))
             assert run(tmp_path, "--config", "cfg.json", "synth") == 2, doc
             assert message in capsys.readouterr().err, doc
+            assert not (tmp_path / "run").exists(), doc
+
+    def test_config_accepts_ints_for_floats_and_null_defaults(self, tmp_path):
+        doc = {
+            "threshold": 1,
+            "synthetic": {"center_radius": 8, "points_per_cluster": [200, 800]},
+            "train": {"lr_min": 0, "momentum": 0, "cycle_length": None, "pos_weight": None},
+            "split": {"train_frac": 1, "val_frac": 0, "test_frac": 0},
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        args = argparse.Namespace(config=str(tmp_path / "cfg.json"), k=None, threshold=None,
+                                  seed=None, out=None)
+        cfg = fedvec.cli.load_config(args)
+        assert cfg.threshold == 1.0 and cfg.synthetic.center_radius == 8
+        assert cfg.train.cycle_length is None and cfg.train.pos_weight is None
+        assert cfg.split.train_frac == 1
 
     def test_empty_query_file(self, tmp_path, capsys):
         trained_run_with_queries(tmp_path, np.zeros(0, dtype=np.int64))

@@ -62,16 +62,17 @@ class TestForward:
         params = init_params(9, rng)
         x = rng.standard_normal((5, 9))
         np.testing.assert_array_equal(
-            forward(params, x, dropout_rate=0.9), forward(params, x)
+            forward_cache(params, x, dropout_rate=0.9).logits, forward(params, x)
         )
 
     def test_dropout_deterministic_under_seed(self):
         rng = np.random.default_rng(42)
         params = init_params(9, rng)
         x = rng.standard_normal((5, 9))
-        a = forward(params, x, dropout_rate=0.5, train=True, rng=substream(3, "dropout"))
-        b = forward(params, x, dropout_rate=0.5, train=True, rng=substream(3, "dropout"))
-        c = forward(params, x, dropout_rate=0.5, train=True, rng=substream(4, "dropout"))
+        a, b, c = (
+            forward_cache(params, x, dropout_rate=0.5, train=True, rng=substream(s, "dropout")).logits
+            for s in (3, 3, 4)
+        )
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -90,7 +91,7 @@ class TestForward:
     def test_train_dropout_requires_rng(self):
         params = init_params(5, np.random.default_rng(0))
         with pytest.raises(ValueError, match="rng"):
-            forward(params, np.zeros((2, 5)), dropout_rate=0.5, train=True)
+            forward_cache(params, np.zeros((2, 5)), dropout_rate=0.5, train=True)
 
     def test_layer_norm_normalizes_pre_affine(self):
         """xhat rows must have mean ~0 and population variance exactly ~1.

@@ -11,7 +11,6 @@ import pytest
 from fedvec.router import (
     LN_EPS,
     _PARAM_ORDER,
-    _BackwardScratch,
     _dropout_mask,
     _layer_norm_backward,
     _loss_grad_logits,
@@ -145,15 +144,17 @@ class TestLayerNormFloor:
         xh = rng.standard_normal((3, 8)).astype(np.float32)
         xh[0] = 0.0
         dxh = rng.standard_normal((3, 8)).astype(np.float32)
-        scratch = _BackwardScratch.for_rows(3, np.float32)
         got = dxh.copy()
-        _layer_norm_backward(got, xh, inv, np.empty_like(got), scratch)
-        np.testing.assert_array_equal(scratch.live[:, 0], [False, False, True])
+        _layer_norm_backward(got, xh, inv)
 
         x64, d64, i64 = (a.astype(np.float64) for a in (xh, dxh, inv))
-        want = d64 - d64.mean(axis=1, keepdims=True)
-        want[2] -= x64[2] * (d64[2] * x64[2]).mean()
-        np.testing.assert_allclose(got, want * i64, rtol=1e-5, atol=1e-3)
+        want = (d64 - d64.mean(axis=1, keepdims=True)) * i64
+        term = x64 * (d64 * x64).mean(axis=1, keepdims=True) * i64
+        # The variance term dwarfs the tolerance on rows 1 and 2, so the
+        # comparison sees which rows take it: rows 0-1 are floored, row 2 live.
+        assert np.abs(term[1:]).max(axis=1).min() > 1.0
+        want[2] -= term[2]
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-3)
 
 
 class TestLossGradient:
