@@ -33,6 +33,7 @@ from .federation import (
     generate_labels,
     naive_hit_counts,
     oracle_decision,
+    selection_cost,
 )
 from .metrics import report_from_traces, render_report_files, summarize_latency
 from .router import (
@@ -114,6 +115,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     k = args.k if args.k is not None else doc.get("k", 10)
     threshold = args.threshold if args.threshold is not None else float(doc.get("threshold", 0.5))
     out = Path(args.out if args.out is not None else doc.get("out", "run"))
+    if not 0 <= seed < 2**63:  # the model file stores it as an i64
+        raise CliError(f"seed must be in [0, 2**63), got {seed}")
     if k < 1:
         raise CliError("k must be >= 1")
     if not 0.0 <= threshold <= 1.0:
@@ -292,16 +295,21 @@ def cmd_eval(cfg: RunConfig) -> None:
     # so its recall is the selected shards' share of the naive top-k.
     hit_counts = naive_hit_counts(shards, qvecs, cfg.k)
     returned = np.array([min(cfg.k, s.stats.count) for s in shards])
-    per_unit = 8 + 4 * dim  # u64 id + f32 coords, both directions
 
-    def cost(selected: np.ndarray) -> dict:
-        m, r = int(selected.sum()), int(returned[selected].sum())
-        return {"m": m, "embeddings_returned": r, "bytes_moved": (m + r) * per_unit}
+    def record(qid: int, counts: np.ndarray, strategy: str, selected: np.ndarray, **fields) -> dict:
+        """One trace record; strategies differ only in the `fields` they set."""
+        return {
+            "query_id": qid, "k": cfg.k, "strategy": strategy, "latency_ns": 0,
+            "probabilities": None, "relevant": None, "shard_recalls": None,
+            "fallback_used": False, "selected": [int(v) for v in selected],
+            **selection_cost(selected, returned, dim),
+            "recall": int(counts[selected].sum()) / int(counts.sum()),
+            **fields,
+        }
 
     traces: list[dict] = []
     route_latencies: list[int] = []
     for qid, query_rows, counts in zip(qids.tolist(), rows, hit_counts):
-        n_truth = int(counts.sum())
         relevant = counts > 0
         oracle = oracle_decision(qid, relevant, n_shards)
 
@@ -311,47 +319,16 @@ def cmd_eval(cfg: RunConfig) -> None:
         route_latencies.append(latency)
         decision = decision_from_probabilities(qid, probs, cfg.threshold)
 
-        base = {"query_id": qid, "k": cfg.k, "latency_ns": 0}
-        traces.append(
-            base
-            | {
-                "strategy": "naive",
-                "probabilities": None,
-                "selected": [1] * n_shards,
-                "relevant": None,
-                **cost(np.ones(n_shards, dtype=bool)),
-                "recall": 1.0,
-                "shard_recalls": [c / n_truth for c in counts.tolist()],
-                "fallback_used": False,
-            }
-        )
-        traces.append(
-            base
-            | {
-                "strategy": "oracle",
-                "probabilities": None,
-                "selected": [int(v) for v in oracle.selected],
-                "relevant": None,
-                **cost(oracle.selected),
-                "recall": int(counts[oracle.selected].sum()) / n_truth,
-                "shard_recalls": None,
-                "fallback_used": False,
-            }
-        )
-        traces.append(
-            base
-            | {
-                "strategy": "predicted",
-                "probabilities": [float(p) for p in probs],
-                "selected": [int(v) for v in decision.selected],
-                "relevant": [int(v) for v in relevant],
-                **cost(decision.selected),
-                "recall": int(counts[decision.selected].sum()) / n_truth,
-                "shard_recalls": None,
-                "fallback_used": decision.fallback_used,
-                "latency_ns": latency,
-            }
-        )
+        n_truth = int(counts.sum())
+        traces += [
+            record(qid, counts, "naive", np.ones(n_shards, dtype=bool),
+                   shard_recalls=[c / n_truth for c in counts.tolist()]),
+            record(qid, counts, "oracle", oracle.selected),
+            record(qid, counts, "predicted", decision.selected,
+                   probabilities=[float(p) for p in probs],
+                   relevant=[int(v) for v in relevant],
+                   fallback_used=decision.fallback_used, latency_ns=latency),
+        ]
 
     # Batch-32 inference figure: median of 100 timed runs on real feature rows.
     pick = np.arange(32)

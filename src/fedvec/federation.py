@@ -1,9 +1,8 @@
 """Scatter-gather federation: route a query, fan out, merge exact top-k.
 
-Byte accounting models the wire format: every contacted shard receives an
-8-byte query id plus d float32 coordinates, and each returned embedding costs
-an 8-byte id plus d float32 coordinates. Merging sorts under a total order,
-so results do not depend on the order shards are searched in.
+Byte accounting models the wire format (`selection_cost`, the one cost rule
+for eval and serving). Merging sorts under a total order, so results do not
+depend on the order shards are searched in.
 """
 
 from __future__ import annotations
@@ -58,18 +57,16 @@ def route(
     query_id: int,
     query: np.ndarray,
     shard_stats: Sequence[ShardStats],
-    threshold: float | None = None,
 ) -> RoutingDecision:
-    """Select every shard whose predicted relevance clears the threshold.
+    """Select every shard whose predicted relevance clears the model's
+    threshold.
 
     At least one shard is always selected (argmax fallback), so m >= 1.
     """
     if not shard_stats:
         raise ValueError("no shards to route over")
-    thresh = model.threshold if threshold is None else threshold
     rows = feature_rows(np.asarray(query)[None], shard_stats)[0]
-    probs = predict_batch(model, rows)
-    return decision_from_probabilities(query_id, probs, thresh)
+    return decision_from_probabilities(query_id, predict_batch(model, rows), model.threshold)
 
 
 def merge_hits(hit_lists: Sequence[list[ScoredHit]], k: int) -> list[ScoredHit]:
@@ -79,6 +76,19 @@ def merge_hits(hit_lists: Sequence[list[ScoredHit]], k: int) -> list[ScoredHit]:
     return merged[:k]
 
 
+def selection_cost(selected: np.ndarray, returned: Sequence[int], dim: int) -> dict:
+    """The wire cost of one query: m, embeddings_returned and bytes_moved.
+
+    `selected` is the (n_shards,) shard mask and `returned` how many
+    embeddings each shard sends back. The query goes to the m selected
+    shards and r embeddings come back from them; each message is one unit
+    of a u64 id plus dim f32 coordinates, so (m + r) units move.
+    """
+    picked = np.flatnonzero(selected)
+    m, r = picked.size, int(sum(returned[i] for i in picked))
+    return {"m": m, "embeddings_returned": r, "bytes_moved": (m + r) * (8 + 4 * dim)}
+
+
 def result_from_hit_lists(
     decision: RoutingDecision,
     hit_lists: Sequence[list[ScoredHit]],
@@ -86,15 +96,13 @@ def result_from_hit_lists(
     k: int,
 ) -> FederatedResult:
     """Merge the selected shards' already-fetched lists and account bytes."""
-    picked = [hit_lists[i] for i in np.flatnonzero(decision.selected)]
-    per_unit = 8 + 4 * dim  # u64 id + f32 coords, both directions
-    returned = sum(len(h) for h in picked)
+    cost = selection_cost(decision.selected, [len(h) for h in hit_lists], dim)
     return FederatedResult(
         query_id=decision.query_id,
-        hits=merge_hits(picked, k),
-        shards_queried=len(picked),
-        embeddings_returned=returned,
-        bytes_moved=len(picked) * per_unit + returned * per_unit,
+        hits=merge_hits([hit_lists[i] for i in np.flatnonzero(decision.selected)], k),
+        shards_queried=cost["m"],
+        embeddings_returned=cost["embeddings_returned"],
+        bytes_moved=cost["bytes_moved"],
     )
 
 

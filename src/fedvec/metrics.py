@@ -42,16 +42,6 @@ def retrieval_recall(routed: FederatedResult, truth: FederatedResult) -> float:
     return len(routed_ids & truth_ids) / len(truth_ids)
 
 
-@dataclass(frozen=True)
-class ClassifierMetrics:
-    accuracy: float
-    precision: float
-    recall: float
-    f1: float
-    auc: float | None          # None when labels are single-class
-    no_positive_predictions: bool  # precision/F1 forced to 0
-
-
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned the mean rank of their group."""
     order = np.argsort(x, kind="mergesort")
@@ -79,13 +69,15 @@ def auc_score(probabilities: np.ndarray, labels: np.ndarray) -> float | None:
 
 
 def classifier_metrics(
-    predictions: Sequence[tuple[float, int]], threshold: float = 0.5
-) -> ClassifierMetrics:
-    """Threshold metrics plus rank AUC for (probability, label) pairs."""
-    if not predictions:
+    probabilities: np.ndarray, labels: np.ndarray, threshold: float = 0.5
+) -> dict:
+    """Threshold metrics plus rank AUC for one shard's probabilities and 0/1
+    labels. `auc` is None when the labels are single-class; precision and F1
+    are 0 when nothing is predicted positive (`no_positive_predictions`)."""
+    probs = np.asarray(probabilities, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if probs.size == 0:
         raise ValueError("no predictions")
-    probs = np.array([p for p, _ in predictions], dtype=np.float64)
-    labels = np.array([y for _, y in predictions], dtype=np.int64)
     pred = probs >= threshold
 
     tp = int((pred & (labels == 1)).sum())
@@ -93,19 +85,17 @@ def classifier_metrics(
     fn = int((~pred & (labels == 1)).sum())
     tn = int((~pred & (labels == 0)).sum())
 
-    accuracy = (tp + tn) / labels.shape[0]
     no_pos_pred = (tp + fp) == 0
     precision = 0.0 if no_pos_pred else tp / (tp + fp)
     recall = 0.0 if (tp + fn) == 0 else tp / (tp + fn)
-    f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
-    return ClassifierMetrics(
-        accuracy=accuracy,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        auc=auc_score(probs, labels),
-        no_positive_predictions=no_pos_pred,
-    )
+    return {
+        "accuracy": (tp + tn) / labels.shape[0],
+        "precision": precision,
+        "recall": recall,
+        "f1": 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall),
+        "auc": auc_score(probs, labels),
+        "no_positive_predictions": no_pos_pred,
+    }
 
 
 def efficiency_summary(records: Iterable[dict], n_shards: int) -> dict:
@@ -203,31 +193,18 @@ _METRIC_KEYS = ("accuracy", "precision", "recall", "f1", "auc")
 
 def _classifier_block(predicted: list[dict], n_shards: int, threshold: float) -> dict:
     """Per-shard one-vs-rest metrics and their mean/std across shards."""
-    per_shard = []
-    for s in range(n_shards):
-        pairs = [(r["probabilities"][s], r["relevant"][s]) for r in predicted]
-        m = classifier_metrics(pairs, threshold)
-        per_shard.append(
-            {
-                "shard_id": s,
-                "accuracy": m.accuracy,
-                "precision": m.precision,
-                "recall": m.recall,
-                "f1": m.f1,
-                "auc": m.auc,
-                "no_positive_predictions": m.no_positive_predictions,
-            }
-        )
+    probs = np.array([r["probabilities"] for r in predicted], dtype=np.float64)
+    labels = np.array([r["relevant"] for r in predicted], dtype=np.int64)
+    per_shard = [
+        {"shard_id": s, **classifier_metrics(probs[:, s], labels[:, s], threshold)}
+        for s in range(n_shards)
+    ]
     mean: dict = {}
     std: dict = {}
     for key in _METRIC_KEYS:
         vals = [row[key] for row in per_shard if row[key] is not None]
-        if vals:
-            mean[key] = float(np.mean(vals))
-            std[key] = float(np.std(vals))
-        else:
-            mean[key] = None
-            std[key] = None
+        mean[key] = float(np.mean(vals)) if vals else None
+        std[key] = float(np.std(vals)) if vals else None
     return {
         "threshold": threshold,
         "per_shard": per_shard,

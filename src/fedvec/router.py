@@ -59,7 +59,17 @@ class RouterParams:
         return RouterParams(**{f.name: getattr(self, f.name).copy() for f in fields(self)})
 
 
-_PARAM_ORDER = ("w1", "b1", "ln_g1", "ln_b1", "w2", "b2", "ln_g2", "ln_b2", "w3", "b3")
+def _param_shapes(input_dim: int) -> dict[str, tuple[int, ...]]:
+    """Every learnable array's shape, in layout order: the one table that
+    initialization, the flat training vectors and the model file share."""
+    return {
+        "w1": (input_dim, HIDDEN1), "b1": (HIDDEN1,), "ln_g1": (HIDDEN1,), "ln_b1": (HIDDEN1,),
+        "w2": (HIDDEN1, HIDDEN2), "b2": (HIDDEN2,), "ln_g2": (HIDDEN2,), "ln_b2": (HIDDEN2,),
+        "w3": (HIDDEN2, 1), "b3": (1,),
+    }
+
+
+_PARAM_ORDER = tuple(_param_shapes(1))
 
 
 @dataclass(frozen=True)
@@ -105,26 +115,19 @@ class TrainResult:
 
 
 def init_params(input_dim: int, rng: np.random.Generator) -> RouterParams:
-    """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases, unit gains."""
+    """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases, unit gains.
+    The weights are drawn in layout order: w1, w2, w3."""
     if input_dim < 1:
         raise ValueError("input_dim must be positive")
 
-    def glorot(fan_in: int, fan_out: int) -> np.ndarray:
-        bound = math.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+    def init(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        if name.startswith("w"):
+            bound = math.sqrt(6.0 / sum(shape))
+            return rng.uniform(-bound, bound, size=shape)
+        return np.ones(shape) if name.startswith("ln_g") else np.zeros(shape)
 
-    return RouterParams(
-        w1=glorot(input_dim, HIDDEN1),
-        b1=np.zeros(HIDDEN1),
-        ln_g1=np.ones(HIDDEN1),
-        ln_b1=np.zeros(HIDDEN1),
-        w2=glorot(HIDDEN1, HIDDEN2),
-        b2=np.zeros(HIDDEN2),
-        ln_g2=np.ones(HIDDEN2),
-        ln_b2=np.zeros(HIDDEN2),
-        w3=glorot(HIDDEN2, 1),
-        b3=np.zeros(1),
-    )
+    shapes = _param_shapes(input_dim)
+    return RouterParams(**{name: init(name, shape) for name, shape in shapes.items()})
 
 
 def _layer_norm(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -373,12 +376,11 @@ def cyclic_lr(step: int, lr_min: float, lr_max: float, half_cycle: int) -> float
     return lr_min + (lr_max - lr_min) * max(0.0, 1.0 - x)
 
 
-def _flat_views(flat: np.ndarray, like: RouterParams) -> RouterParams:
-    """RouterParams whose arrays are views into `flat`, shaped like `like`'s
-    and laid out in _PARAM_ORDER."""
+def _flat_views(flat: np.ndarray, input_dim: int) -> RouterParams:
+    """RouterParams whose arrays are views into `flat`, laid out as
+    _param_shapes(input_dim) lists them."""
     arrays, offset = {}, 0
-    for name in _PARAM_ORDER:
-        shape = getattr(like, name).shape
+    for name, shape in _param_shapes(input_dim).items():
         size = math.prod(shape)
         arrays[name] = flat[offset : offset + size].reshape(shape)
         offset += size
@@ -439,9 +441,10 @@ def train(
     # standardized, so no split is held in both dtypes past its cast.
     # Parameters, gradients and velocity are three flat vectors behind the
     # per-array views, so the momentum update is three flat ops.
-    init = init_params(x_tr.shape[1], substream(config.seed, "init"))
+    input_dim = x_tr.shape[1]
+    init = init_params(input_dim, substream(config.seed, "init"))
     flat = np.concatenate([getattr(init, name).ravel() for name in _PARAM_ORDER], dtype=np.float32)
-    params = _flat_views(flat, init)
+    params = _flat_views(flat, input_dim)
     x_tr = _checked_rows(params, x_tr)
     x_val = x_raw[in_val]
     transform(scaler, x_val, out=x_val)
@@ -456,7 +459,7 @@ def train(
     )
 
     flat_grads = np.empty_like(flat)
-    grads = _flat_views(flat_grads, init)
+    grads = _flat_views(flat_grads, input_dim)
     velocity = np.zeros_like(flat)
     best_flat = flat.copy()
     shuffle_rng = substream(config.seed, "shuffle")
@@ -498,7 +501,7 @@ def train(
             np.copyto(best_flat, flat)
 
     model = RouterModel(
-        params=_flat_views(best_flat.astype(np.float64), init),
+        params=_flat_views(best_flat.astype(np.float64), input_dim),
         scaler=scaler,
         dropout_rate=config.dropout_rate,
         threshold=0.5,
@@ -509,13 +512,7 @@ def train(
 
 def predict_batch(model: RouterModel, rows: np.ndarray) -> np.ndarray:
     """Relevance probabilities for raw (unstandardized) feature rows (n, f)."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.size == 0:
-        return np.zeros(0)
-    if rows.ndim == 1:
-        rows = rows[None, :]
-    x = transform(model.scaler, rows)
-    return _sigmoid(forward(model.params, x))
+    return _sigmoid(forward(model.params, transform(model.scaler, rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -546,10 +543,9 @@ def serialize_model(model: RouterModel) -> bytes:
             model.seed,
         )
     )
-    blob += np.ascontiguousarray(model.scaler.mean, dtype="<f8").tobytes()
-    blob += np.ascontiguousarray(model.scaler.std, dtype="<f8").tobytes()
-    for name in _PARAM_ORDER:
-        blob += np.ascontiguousarray(getattr(model.params, name), dtype="<f8").tobytes()
+    arrays = [model.scaler.mean, model.scaler.std]
+    arrays += [getattr(model.params, name) for name in _PARAM_ORDER]
+    blob += np.concatenate([np.ravel(a) for a in arrays], dtype="<f8").tobytes()
     blob += struct.pack("<I", zlib.crc32(bytes(blob)))
     return bytes(blob)
 
@@ -574,25 +570,15 @@ def load_model(path) -> RouterModel:
     if zlib.crc32(raw[:-4]) != stored_crc:
         raise ModelFormatError(f"{path}: checksum mismatch, file is corrupted")
 
-    shapes = [
-        (input_dim,), (input_dim,),  # scaler mean, std
-        (input_dim, h1), (h1,), (h1,), (h1,),
-        (h1, h2), (h2,), (h2,), (h2,),
-        (h2, 1), (1,),
-    ]
-    need = sum(int(np.prod(s)) for s in shapes) * 8
+    n_params = sum(math.prod(shape) for shape in _param_shapes(input_dim).values())
+    need = (2 * input_dim + n_params) * 8
     body = raw[_MODEL_HEADER.size:-4]
     if len(body) != need:
         raise ModelFormatError(f"{path}: expected {need} array bytes, got {len(body)}")
 
-    arrays = []
-    off = 0
-    for shape in shapes:
-        n = int(np.prod(shape))
-        arrays.append(np.frombuffer(body, "<f8", count=n, offset=off).reshape(shape).copy())
-        off += n * 8
-    scaler = ScalerParams(mean=arrays[0], std=arrays[1])
-    params = RouterParams(*arrays[2:])
+    flat = np.frombuffer(body, "<f8").astype(np.float64)
+    scaler = ScalerParams(mean=flat[:input_dim], std=flat[input_dim : 2 * input_dim])
+    params = _flat_views(flat[2 * input_dim :], input_dim)
     return RouterModel(
         params=params,
         scaler=scaler,

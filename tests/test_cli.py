@@ -11,7 +11,8 @@ import fedvec.cli
 from fedvec.cli import main
 from fedvec.datasets import SplitSpec, import_shards, split_by_query
 from fedvec.features import ScalerParams, feature_dim
-from fedvec.federation import route
+from fedvec.federation import federated_search, naive_search, route
+from fedvec.metrics import retrieval_recall
 from fedvec.router import RouterModel, init_params, load_model, serialize_model
 from fedvec.vecio import read_vectors, vector_file_bytes
 
@@ -130,14 +131,17 @@ class TestPipeline:
 
     def test_train_stores_config_threshold(self, tmp_path):
         """route() selects with the model's stored threshold, eval with the
-        config's: train must store the config's so that both agree."""
+        config's: train must store the config's so that both agree. Serving
+        that selection then costs what eval's trace row records, and its
+        recall against a naive search is the row's recall."""
         (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
         for command in ("synth", "label", "train", "eval"):
             assert run(tmp_path, "--config", "cfg.json", "--threshold", "0.3", command) == 0
         out = tmp_path / "run"
         model = load_model(out / "router.rrm")
         assert model.threshold == 0.3
-        stats = [s.stats for s in import_shards(out / "manifest.json")]
+        shards = import_shards(out / "manifest.json")
+        stats = [s.stats for s in shards]
         qids, qvecs = read_vectors(out / "queries_train.fvr")
         queries = dict(zip(qids.tolist(), qvecs))
         predicted = [
@@ -145,9 +149,15 @@ class TestPipeline:
             if row["strategy"] == "predicted"
         ]
         assert predicted
+        k = CONFIG["k"]
         for row in predicted:
-            decision = route(model, row["query_id"], queries[row["query_id"]], stats)
-            assert [int(v) for v in decision.selected] == row["selected"], row["query_id"]
+            qid, q = row["query_id"], queries[row["query_id"]]
+            decision = route(model, qid, q, stats)
+            assert [int(v) for v in decision.selected] == row["selected"], qid
+            served = federated_search(decision, shards, q, k)
+            cost = (served.shards_queried, served.embeddings_returned, served.bytes_moved)
+            assert cost == (row["m"], row["embeddings_returned"], row["bytes_moved"]), qid
+            assert retrieval_recall(served, naive_search(qid, shards, q, k)) == row["recall"], qid
 
     def test_seed_flag_changes_synth_output(self, pipeline):
         base = (pipeline / "run" / "queries_train.fvr").read_bytes()
@@ -187,6 +197,9 @@ class TestFailures:
             ({"k": [10]}, "bad config: k must be int, got [10]"),
             ({"k": 10.0}, "bad config: k must be int"),
             ({"seed": True}, "bad config: seed must be int"),
+            # The model file stores the seed as an i64.
+            ({"seed": 2**63}, "error: seed must be in [0, 2**63), got 9223372036854775808"),
+            ({"seed": -1}, "error: seed must be in [0, 2**63), got -1"),
             ({"threshold": "0.5"}, "bad config: threshold must be float"),
             ({"out": 5}, "bad config: out must be str"),
             ({"synthetic": {"n_clusters": "3"}}, "bad 'synthetic' config block: n_clusters"),

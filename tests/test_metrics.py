@@ -67,34 +67,38 @@ class TestClassifier:
     def test_hand_traced_confusion(self):
         """[0.9/1, 0.4/1, 0.6/0, 0.2/0]: one cell each in the confusion
         matrix, and 3 of 4 positive-negative pairs ranked correctly."""
-        m = classifier_metrics([(0.9, 1), (0.4, 1), (0.6, 0), (0.2, 0)])
-        assert m.accuracy == 0.5
-        assert m.precision == 0.5
-        assert m.recall == 0.5
-        assert m.f1 == 0.5
-        assert m.auc == pytest.approx(0.75, abs=1e-15)
-        assert not m.no_positive_predictions
+        m = classifier_metrics(np.array([0.9, 0.4, 0.6, 0.2]), np.array([1, 1, 0, 0]))
+        assert m["accuracy"] == 0.5
+        assert m["precision"] == 0.5
+        assert m["recall"] == 0.5
+        assert m["f1"] == 0.5
+        assert m["auc"] == pytest.approx(0.75, abs=1e-15)
+        assert not m["no_positive_predictions"]
 
     def test_perfect_sorting(self):
-        m = classifier_metrics([(0.9, 1), (0.8, 1), (0.2, 0), (0.1, 0)])
-        assert (m.accuracy, m.precision, m.recall, m.f1, m.auc) == (1, 1, 1, 1, 1)
+        m = classifier_metrics(np.array([0.9, 0.8, 0.2, 0.1]), np.array([1, 1, 0, 0]))
+        assert [m[key] for key in ("accuracy", "precision", "recall", "f1", "auc")] == [1] * 5
 
     def test_all_tied_scores_auc_half(self):
-        m = classifier_metrics([(0.5, 1), (0.5, 0), (0.5, 1), (0.5, 0)])
-        assert m.auc == pytest.approx(0.5, abs=1e-15)
+        m = classifier_metrics(np.full(4, 0.5), np.array([1, 0, 1, 0]))
+        assert m["auc"] == pytest.approx(0.5, abs=1e-15)
 
     def test_single_class_has_no_auc(self):
-        m = classifier_metrics([(0.9, 1), (0.1, 1)])
-        assert m.auc is None
+        m = classifier_metrics(np.array([0.9, 0.1]), np.array([1, 1]))
+        assert m["auc"] is None
 
     def test_nothing_predicted_positive(self):
-        m = classifier_metrics([(0.1, 1), (0.2, 0)])
-        assert m.no_positive_predictions
-        assert m.precision == 0.0 and m.f1 == 0.0
+        m = classifier_metrics(np.array([0.1, 0.2]), np.array([1, 0]))
+        assert m["no_positive_predictions"]
+        assert m["precision"] == 0.0 and m["f1"] == 0.0
+
+    def test_threshold_is_inclusive(self):
+        m = classifier_metrics(np.array([0.3, 0.29]), np.array([1, 0]), threshold=0.3)
+        assert m["accuracy"] == 1.0 and not m["no_positive_predictions"]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no predictions"):
-            classifier_metrics([])
+            classifier_metrics(np.zeros(0), np.zeros(0, dtype=np.int64))
 
 
 class TestAuc:

@@ -260,11 +260,11 @@ class TestReusedBuffers:
         buffers, never activations for every validation row.
 
         The shapes are the default pipeline's: 2000 questions x 10 shards x
-        67 features (10.2 MiB), 2000 validation rows. Measured traced peaks:
-        3.17x the feature matrix when validation built one forward cache over
-        all its rows (2000 x 256 floats per hidden array), 1.37x with the
-        blocked inference. A bound of 2x sits between them with about 0.6x
-        (6 MiB) of headroom either way.
+        67 features (10.2 MiB), 2000 validation rows. Measured traced peaks
+        with float32 training: 1.59-1.69x the feature matrix when validation
+        runs one block over all its rows (2000 x 256 floats per hidden
+        array), 0.75x with the blocked inference. A bound of 1.2x sits
+        between them with about 0.4x (4 MiB) of headroom either way.
         """
         rng = np.random.default_rng(0)
         features = rng.standard_normal((20000, 67))
@@ -278,7 +278,7 @@ class TestReusedBuffers:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * features.nbytes, f"{peak / features.nbytes:.2f}x the feature matrix"
+        assert peak < 1.2 * features.nbytes, f"{peak / features.nbytes:.2f}x the feature matrix"
 
 
 class TestModelFile:
