@@ -36,20 +36,9 @@ from .federation import (
     selection_cost,
 )
 from .metrics import report_from_traces, render_report_files, summarize_latency
-from .router import (
-    ModelFormatError,
-    TrainConfig,
-    load_model,
-    predict_batch,
-    serialize_model,
-    train,
-)
+from .router import TrainConfig, load_model, predict_batch, serialize_model, train
 from .store import search_top_k  # noqa: F401  (perfbench/selftest.py checks tracing wraps it here)
-from .vecio import VectorFileError, manifest_bytes, read_vectors, vector_file_bytes
-
-
-class CliError(Exception):
-    """Validation failure surfaced as exit code 2."""
+from .vecio import manifest_bytes, read_vectors, vector_file_bytes
 
 
 @dataclass(frozen=True)
@@ -104,38 +93,38 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         try:
             doc = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot read config {args.config}: {exc}") from exc
+            raise ValueError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(doc, dict):
-            raise CliError(f"config {args.config} is not a JSON object")
+            raise ValueError(f"config {args.config} is not a JSON object")
 
     for name, type_name in _TOP_LEVEL_TYPES.items():
         if name in doc and not _json_type_ok(doc[name], type_name):
-            raise CliError(f"bad config: {name} must be {type_name}, got {json.dumps(doc[name])}")
+            raise ValueError(f"bad config: {name} must be {type_name}, got {json.dumps(doc[name])}")
     seed = args.seed if args.seed is not None else doc.get("seed", 0)
     k = args.k if args.k is not None else doc.get("k", 10)
     threshold = args.threshold if args.threshold is not None else float(doc.get("threshold", 0.5))
     out = Path(args.out if args.out is not None else doc.get("out", "run"))
     if not 0 <= seed < 2**63:  # the model file stores it as an i64
-        raise CliError(f"seed must be in [0, 2**63), got {seed}")
+        raise ValueError(f"seed must be in [0, 2**63), got {seed}")
     if k < 1:
-        raise CliError("k must be >= 1")
+        raise ValueError("k must be >= 1")
     if not 0.0 <= threshold <= 1.0:
-        raise CliError("threshold must be in [0, 1]")
+        raise ValueError("threshold must be in [0, 1]")
 
     def build(cls, key: str):
         block = doc.get(key, {})
         if not isinstance(block, dict):
-            raise CliError(f"bad '{key}' config block: not a JSON object")
+            raise ValueError(f"bad '{key}' config block: not a JSON object")
         for f in fields(cls):
             if f.name in block and not _json_type_ok(block[f.name], f.type):
-                raise CliError(
+                raise ValueError(
                     f"bad '{key}' config block: {f.name} must be {f.type}, "
                     f"got {json.dumps(block[f.name])}"
                 )
         try:
             return cls(**{"seed": seed, **block})
         except TypeError as exc:
-            raise CliError(f"bad '{key}' config block: {exc}") from exc
+            raise ValueError(f"bad '{key}' config block: {exc}") from exc
 
     synthetic = build(SyntheticSpec, "synthetic")
     train_cfg = build(TrainConfig, "train")
@@ -179,9 +168,9 @@ def _read_queries(path: Path) -> tuple[np.ndarray, np.ndarray]:
     """Read a query file that must hold at least one query and unique ids."""
     qids, qvecs = read_vectors(path)
     if qids.size == 0:
-        raise CliError(f"{path}: no queries")
+        raise ValueError(f"{path}: no queries")
     if np.unique(qids).size != qids.size:
-        raise CliError(f"{path}: duplicate query ids")
+        raise ValueError(f"{path}: duplicate query ids")
     return qids, qvecs
 
 
@@ -244,10 +233,10 @@ def cmd_train(cfg: RunConfig) -> None:
     try:
         table = np.load(cfg.labels_path)
     except (OSError, ValueError) as exc:
-        raise CliError(f"cannot read labels {cfg.labels_path}: {exc}") from exc
+        raise ValueError(f"cannot read labels {cfg.labels_path}: {exc}") from exc
     missing = {"query_id", "label", "features"} - set(table.dtype.names or ())
     if missing:
-        raise CliError(f"{cfg.labels_path}: not a labels table, missing fields {sorted(missing)}")
+        raise ValueError(f"{cfg.labels_path}: not a labels table, missing fields {sorted(missing)}")
     result = train(table["features"], table["label"], table["query_id"], cfg.split, cfg.train)
     # The stored threshold is the one route() selects with, so serving
     # agrees with eval, which selects with the config's.
@@ -279,13 +268,13 @@ def cmd_eval(cfg: RunConfig) -> None:
     keep = np.isin(qids, sorted(test_q))
     qids, qvecs = qids[keep], qvecs[keep]
     if qids.size == 0:
-        raise CliError("test split is empty")
+        raise ValueError("test split is empty")
 
     stats = [s.stats for s in shards]
     dim = shards[0].dim
     n_shards = len(shards)
     if model.input_dim != feature_dim(dim):
-        raise CliError(
+        raise ValueError(
             f"{cfg.model_path}: model takes {model.input_dim} features, "
             f"shards of dim {dim} give {feature_dim(dim)}"
         )
@@ -340,15 +329,15 @@ def cmd_eval(cfg: RunConfig) -> None:
         samples.append(time.perf_counter_ns() - t0)
     latency_block = summarize_latency(route_latencies, float(np.median(samples)))
 
-    report = report_from_traces(traces, n_shards, cfg.threshold, latency=latency_block)
+    report = report_from_traces(traces, cfg.threshold)
     files = {
         cfg.traces_path: ("\n".join(json.dumps(t, sort_keys=True) for t in traces) + "\n").encode()
     }
-    for name, blob in render_report_files(report).items():
+    for name, blob in render_report_files(report, latency_block).items():
         files[cfg.out / name] = blob
     _write_all(files)
 
-    agg = report.aggregate
+    agg = report["aggregate"]
     print(
         f"eval: {agg['n_queries']} test queries over {n_shards} shards (k={cfg.k}); "
         f"mean recall {agg['mean_recall']:.4f}, "
@@ -356,7 +345,7 @@ def cmd_eval(cfg: RunConfig) -> None:
         f"({agg['query_reduction_pct']:.1f}% reduction), "
         f"bytes {agg['volume_reduction_pct']:.1f}% reduction"
     )
-    _print_quality(report.quality)
+    _print_quality(report["quality"])
 
 
 def _print_quality(quality: dict) -> None:
@@ -370,18 +359,18 @@ def cmd_report(cfg: RunConfig) -> None:
     try:
         lines = cfg.traces_path.read_text().splitlines()
     except OSError as exc:
-        raise CliError(f"cannot read traces {cfg.traces_path}: {exc}") from exc
-    traces = [json.loads(line) for line in lines if line.strip()]
-    if not traces:
-        raise CliError(f"no trace records in {cfg.traces_path}")
-    n_shards = len(traces[0]["selected"])
-    report = report_from_traces(traces, n_shards, cfg.threshold)
+        raise ValueError(f"cannot read traces {cfg.traces_path}: {exc}") from exc
+    try:
+        traces = [json.loads(line) for line in lines if line.strip()]
+        report = report_from_traces(traces, cfg.threshold)
+    except ValueError as exc:
+        raise ValueError(f"{cfg.traces_path}: {exc}") from exc
     files = {
         cfg.out / name: blob for name, blob in render_report_files(report).items()
     }
     _write_all(files)
     print(f"report: rebuilt {len(files)} files from {len(traces)} trace records")
-    _print_quality(report.quality)
+    _print_quality(report["quality"])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -418,7 +407,7 @@ def main(argv: list[str] | None = None) -> int:
             cmd_eval(cfg)
         elif args.command == "report":
             cmd_report(cfg)
-    except (CliError, ValueError, VectorFileError, ModelFormatError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -98,46 +97,6 @@ def classifier_metrics(
     }
 
 
-def efficiency_summary(records: Iterable[dict], n_shards: int) -> dict:
-    """Aggregate query/byte totals and reduction percentages from traces.
-
-    Needs naive and predicted records; oracle records, when present, supply
-    the ground-truth lower bound.
-    """
-    by_strategy: dict[str, list[dict]] = {s: [] for s in STRATEGIES}
-    for rec in records:
-        if rec["strategy"] in by_strategy:
-            by_strategy[rec["strategy"]].append(rec)
-    naive, oracle, predicted = (by_strategy[s] for s in STRATEGIES)
-    if not naive or not predicted:
-        raise ValueError("need naive and predicted traces")
-
-    q = len(naive)
-    totals = {s: sum(r["m"] for r in by_strategy[s]) for s in STRATEGIES}
-    bytes_ = {s: sum(r["bytes_moved"] for r in by_strategy[s]) for s in STRATEGIES}
-    denom_q = q * n_shards
-
-    out = {
-        "n_queries": q,
-        "n_shards": n_shards,
-        "k": naive[0].get("k"),
-        "mean_recall": sum(r["recall"] for r in predicted) / len(predicted),
-        "total_queries_naive": totals["naive"],
-        "total_queries_routed": totals["predicted"],
-        "query_reduction_pct": 100.0 * (1.0 - totals["predicted"] / denom_q),
-        "bytes_naive": bytes_["naive"],
-        "bytes_routed": bytes_["predicted"],
-        "volume_reduction_pct": 100.0 * (1.0 - bytes_["predicted"] / bytes_["naive"]),
-        "fallback_count": sum(1 for r in predicted if r.get("fallback_used")),
-    }
-    if oracle:
-        out["total_queries_oracle"] = totals["oracle"]
-        out["oracle_query_reduction_pct"] = 100.0 * (1.0 - totals["oracle"] / denom_q)
-        out["bytes_oracle"] = bytes_["oracle"]
-        out["oracle_volume_reduction_pct"] = 100.0 * (1.0 - bytes_["oracle"] / bytes_["naive"])
-    return out
-
-
 # Desk-scale quality bar checked after every eval run.
 QUALITY_MIN_AUC = 0.90
 QUALITY_MIN_RECALL = 0.90
@@ -167,37 +126,14 @@ def quality_bar(aggregate: dict, classifier: dict) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """Plain-container report; `to_dict` is what report.json holds."""
-
-    aggregate: dict
-    classifier: dict
-    recall_by_shard: list
-    per_query: list
-    quality: dict
-    latency: dict | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "aggregate": self.aggregate,
-            "classifier": self.classifier,
-            "recall_by_shard": self.recall_by_shard,
-            "per_query": self.per_query,
-            "quality": self.quality,
-        }
-
-
 _METRIC_KEYS = ("accuracy", "precision", "recall", "f1", "auc")
 
 
-def _classifier_block(predicted: list[dict], n_shards: int, threshold: float) -> dict:
+def _classifier_block(probs: np.ndarray, labels: np.ndarray, threshold: float) -> dict:
     """Per-shard one-vs-rest metrics and their mean/std across shards."""
-    probs = np.array([r["probabilities"] for r in predicted], dtype=np.float64)
-    labels = np.array([r["relevant"] for r in predicted], dtype=np.int64)
     per_shard = [
         {"shard_id": s, **classifier_metrics(probs[:, s], labels[:, s], threshold)}
-        for s in range(n_shards)
+        for s in range(probs.shape[1])
     ]
     mean: dict = {}
     std: dict = {}
@@ -214,46 +150,106 @@ def _classifier_block(predicted: list[dict], n_shards: int, threshold: float) ->
     }
 
 
-def report_from_traces(
-    records: Iterable[dict],
-    n_shards: int,
-    threshold: float = 0.5,
-    latency: dict | None = None,
-) -> EvalReport:
-    """The pure fold: trace records in, full report out."""
+def _column(records: list[dict], name: str, kind: type, width: int | None = None):
+    """Field `name` of every record, checked. Each value, or with `width` each
+    entry of a list of exactly `width`, must be a JSON value of `kind`: str,
+    bool, int (within int64) or float (any finite number). A bool is no
+    number. Numbers come back as an int64 or float64 array, the rest as a list."""
+    try:
+        values = [r[name] for r in records]
+    except KeyError:
+        raise ValueError(f"a trace record has no {name!r}") from None
+    entries = values
+    if width is not None:
+        if not all(type(v) is list and len(v) == width for v in values):
+            raise ValueError(f"{name!r} is not a list of {width} values in every record")
+        entries = [x for v in values for x in v]
+    if not set(map(type, entries)) <= ({int, float} if kind is float else {kind}):
+        raise ValueError(f"{name!r} holds a value that is not a JSON {kind.__name__}")
+    if kind in (str, bool):
+        return values
+    try:
+        array = np.array(values, dtype=np.float64 if kind is float else np.int64)
+    except OverflowError:
+        raise ValueError(f"{name!r} holds an out-of-range value") from None
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name!r} holds a non-finite value")
+    return array
+
+
+def report_from_traces(records: Iterable[dict], threshold: float = 0.5) -> dict:
+    """The pure fold: trace records in, the report.json document out.
+
+    Every query needs exactly one naive, one oracle and one predicted record,
+    and the shard count is the width of the naive `shard_recalls`. Any
+    malformed record raises ValueError. Sums run in record order.
+    """
     records = list(records)
-    aggregate = efficiency_summary(records, n_shards)
-    naive = [r for r in records if r["strategy"] == "naive"]
-    predicted = [r for r in records if r["strategy"] == "predicted"]
+    if not records:
+        raise ValueError("no trace records")
+    if not all(isinstance(r, dict) for r in records):
+        raise ValueError("a trace record is not a JSON object")
+    strategy = _column(records, "strategy", str)
+    groups = [[r for r, s in zip(records, strategy) if s == name] for name in STRATEGIES]
+    if sum(map(len, groups)) != len(records):
+        raise ValueError(f"a trace record's strategy is not one of {', '.join(STRATEGIES)}")
+    ids = [_column(g, "query_id", int).tolist() for g in groups]
+    if len(set(ids[0])) != len(ids[0]) or any(sorted(i) != sorted(ids[0]) for i in ids):
+        raise ValueError("each query needs one naive, one oracle and one predicted record")
+    k = _column(records, "k", int).tolist()
+    if len(set(k)) != 1:
+        raise ValueError("trace records disagree on k")
+    m = [_column(g, "m", int).tolist() for g in groups]
+    moved = [_column(g, "bytes_moved", int).tolist() for g in groups]
+    naive, _, predicted = groups
+    first = naive[0].get("shard_recalls")
+    if type(first) is not list or not first:
+        raise ValueError("'shard_recalls' is not a nonempty list")
+    n_shards = len(first)
+    shard_recalls = _column(naive, "shard_recalls", float, n_shards)
+    recall = _column(predicted, "recall", float).tolist()
+    probs = _column(predicted, "probabilities", float, n_shards)
+    labels = _column(predicted, "relevant", int, n_shards)
+    fallback = _column(predicted, "fallback_used", bool)
+    if not ((labels == 0) | (labels == 1)).all():
+        raise ValueError("'relevant' holds a value other than 0 and 1")
+    m_naive, m_oracle, m_routed = map(sum, m)
+    b_naive, b_oracle, b_routed = map(sum, moved)
+    if b_naive <= 0:
+        raise ValueError("the naive trace records move no bytes")
 
-    naive_ids = {r["query_id"] for r in naive}
-    predicted_ids = {r["query_id"] for r in predicted}
-    if naive_ids != predicted_ids:
-        raise ValueError("naive and predicted traces cover different queries")
-
-    shard_recalls = np.array([r["shard_recalls"] for r in naive], dtype=np.float64)
-    recall_by_shard = [
-        {"shard_id": s, "mean_recall": float(shard_recalls[:, s].mean())}
-        for s in range(n_shards)
-    ]
-    per_query = [
-        {
-            "query_id": r["query_id"],
-            "recall": r["recall"],
-            "m": r["m"],
-            "bytes_moved": r["bytes_moved"],
-        }
-        for r in sorted(predicted, key=lambda r: r["query_id"])
-    ]
-    classifier = _classifier_block(predicted, n_shards, threshold)
-    return EvalReport(
-        aggregate=aggregate,
-        classifier=classifier,
-        recall_by_shard=recall_by_shard,
-        per_query=per_query,
-        quality=quality_bar(aggregate, classifier),
-        latency=latency,
-    )
+    q = len(predicted)
+    aggregate = {
+        "n_queries": q,
+        "n_shards": n_shards,
+        "k": k[0],
+        "mean_recall": sum(recall) / q,
+        "total_queries_naive": m_naive,
+        "total_queries_oracle": m_oracle,
+        "total_queries_routed": m_routed,
+        "query_reduction_pct": 100.0 * (1.0 - m_routed / (q * n_shards)),
+        "oracle_query_reduction_pct": 100.0 * (1.0 - m_oracle / (q * n_shards)),
+        "bytes_naive": b_naive,
+        "bytes_oracle": b_oracle,
+        "bytes_routed": b_routed,
+        "volume_reduction_pct": 100.0 * (1.0 - b_routed / b_naive),
+        "oracle_volume_reduction_pct": 100.0 * (1.0 - b_oracle / b_naive),
+        "fallback_count": sum(fallback),
+    }
+    classifier = _classifier_block(probs, labels, threshold)
+    return {
+        "aggregate": aggregate,
+        "classifier": classifier,
+        "recall_by_shard": [
+            {"shard_id": s, "mean_recall": float(shard_recalls[:, s].mean())}
+            for s in range(n_shards)
+        ],
+        "per_query": [
+            {"query_id": qid, "recall": r, "m": n, "bytes_moved": b}
+            for qid, r, n, b in sorted(zip(ids[2], recall, m[2], moved[2]))
+        ],
+        "quality": quality_bar(aggregate, classifier),
+    }
 
 
 def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
@@ -264,32 +260,33 @@ def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
     return buf.getvalue().encode()
 
 
-def render_report_files(report: EvalReport) -> dict[str, bytes]:
-    """Serialize the report to its on-disk files (filename -> content)."""
-    agg = report.aggregate
+def _json_bytes(doc: dict) -> bytes:
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+def render_report_files(report: dict, latency: dict | None = None) -> dict[str, bytes]:
+    """Serialize the report, and latency when given, to their on-disk files
+    (filename -> content)."""
+    agg = report["aggregate"]
     files = {
-        "report.json": (json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n").encode(),
-        "summary.csv": _csv_bytes(
-            SUMMARY_COLUMNS, [[agg.get(c, "") for c in SUMMARY_COLUMNS]]
-        ),
+        "report.json": _json_bytes(report),
+        "summary.csv": _csv_bytes(SUMMARY_COLUMNS, [[agg[c] for c in SUMMARY_COLUMNS]]),
         "recall_by_shard.csv": _csv_bytes(
             ["source", "mean_recall"],
-            [[f"shard_{row['shard_id']}", row["mean_recall"]] for row in report.recall_by_shard]
+            [[f"shard_{row['shard_id']}", row["mean_recall"]] for row in report["recall_by_shard"]]
             + [["routed", agg["mean_recall"]]],
         ),
         "queries_by_strategy.csv": _csv_bytes(
             ["strategy", "total_queries", "total_bytes"],
             [
                 ["naive", agg["total_queries_naive"], agg["bytes_naive"]],
-                ["oracle", agg.get("total_queries_oracle", ""), agg.get("bytes_oracle", "")],
+                ["oracle", agg["total_queries_oracle"], agg["bytes_oracle"]],
                 ["predicted", agg["total_queries_routed"], agg["bytes_routed"]],
             ],
         ),
     }
-    if report.latency is not None:
-        files["latency.json"] = (
-            json.dumps(report.latency, indent=2, sort_keys=True) + "\n"
-        ).encode()
+    if latency is not None:
+        files["latency.json"] = _json_bytes(latency)
     return files
 
 

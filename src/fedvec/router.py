@@ -36,7 +36,7 @@ LN_EPS = 1e-5
 INFER_BLOCK = 128
 
 
-class ModelFormatError(Exception):
+class ModelFormatError(ValueError):
     """Unreadable, corrupted, or wrong-version model file."""
 
 

@@ -100,27 +100,25 @@ def search_batch(index: ShardIndex, queries: np.ndarray, k: int) -> tuple[np.nda
         raise ValueError("non-finite query norm")
     b, n = queries.shape[0], index.vectors.shape[0]
     top = min(k, n)
-    if k >= n:
-        q_of, rows = np.divmod(np.arange(b * n), n)
-    else:
-        # Screen s = |x|^2 - 2 x.q: the distance less |q|^2, a shift that a
-        # query's rows share. Scaling q by -2 is exact. The dot product of d
-        # terms errs by at most ~d u |x||q| (u = eps/2), |x|^2 by d u |x|^2
-        # and the addition by u of its operands, so s is within
-        # (2d + 2) u (|x|^2 + |q|^2) of the shifted real distance. The
-        # diff-based float distance e is within (d + 3) u |x - q|^2
-        # <= (2d + 6) u (|x|^2 + |q|^2) of the real one. Hence
-        # |s - (e - |q|^2)| <= err = 4 (d + 4) eps (max |x|^2 + |q|^2), with
-        # room for second-order terms. The k smallest screens all have
-        # e - |q|^2 <= kth + err, so every row whose e is at most the exact
-        # k-th distance, ties included, screens at most kth + 2 err.
-        screen = (-2.0 * queries) @ index.vectors.T
-        screen += index.sq_norms
-        kth = np.partition(screen, k - 1, axis=1)[:, k - 1]
-        err = 4.0 * (index.dim + 4) * EPS * (index.sq_norms.max() + qn)
-        # Written as "not above" so a NaN screen (overflow) keeps its row.
-        keep = ~(screen > (kth + 2.0 * err)[:, None])
-        q_of, rows = np.divmod(np.flatnonzero(keep), n)
+    # Screen s = |x|^2 - 2 x.q: the distance less |q|^2, a shift that a
+    # query's rows share. Scaling q by -2 is exact. The dot product of d
+    # terms errs by at most ~d u |x||q| (u = eps/2), |x|^2 by d u |x|^2
+    # and the addition by u of its operands, so s is within
+    # (2d + 2) u (|x|^2 + |q|^2) of the shifted real distance. The
+    # diff-based float distance e is within (d + 3) u |x - q|^2
+    # <= (2d + 6) u (|x|^2 + |q|^2) of the real one. Hence
+    # |s - (e - |q|^2)| <= err = 4 (d + 4) eps (max |x|^2 + |q|^2), with
+    # room for second-order terms. The `top` smallest screens all have
+    # e - |q|^2 <= kth + err, so every row whose e is at most the exact
+    # top-th distance, ties included, screens at most kth + 2 err. With
+    # top == n the kth value is a row's largest screen, so every row stays.
+    screen = (-2.0 * queries) @ index.vectors.T
+    screen += index.sq_norms
+    kth = np.partition(screen, top - 1, axis=1)[:, top - 1]
+    err = 4.0 * (index.dim + 4) * EPS * (index.sq_norms.max() + qn)
+    # Written as "not above" so a NaN screen (overflow) keeps its row.
+    keep = ~(screen > (kth + 2.0 * err)[:, None])
+    q_of, rows = np.divmod(np.flatnonzero(keep), n)
     dists = np.empty(rows.shape[0])
     for lo in range(0, rows.shape[0], RERANK_ROWS):
         part = slice(lo, lo + RERANK_ROWS)

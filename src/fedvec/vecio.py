@@ -20,7 +20,7 @@ MAGIC = b"FVR1"
 _HEADER = struct.Struct("<4sIQ")
 
 
-class VectorFileError(Exception):
+class VectorFileError(ValueError):
     """Malformed or truncated vector file."""
 
 

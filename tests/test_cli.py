@@ -1,6 +1,7 @@
 """End-to-end pipeline through main(), byte idempotence, and failure paths."""
 
 import argparse
+import copy
 import json
 import os
 
@@ -263,6 +264,46 @@ class TestFailures:
         (tmp_path / "cfg.json").write_text(json.dumps({"out": "run"}))
         assert run(tmp_path, "--config", "cfg.json", "report") == 2
         assert "cannot read traces" in capsys.readouterr().err
+
+    def test_malformed_traces_for_report(self, pipeline, tmp_path, capsys):
+        """Each broken copy of the pipeline's traces ends `report` in exit 2
+        and writes nothing, except one without `selected`, a field the report
+        does not read, which rebuilds eval's report files."""
+        report_files = ["report.json", "summary.csv", "recall_by_shard.csv",
+                        "queries_by_strategy.csv"]
+        want = {name: (pipeline / "run" / name).read_bytes() for name in report_files}
+        clean = [json.loads(line) for line in
+                 (pipeline / "run" / "traces.jsonl").read_text().splitlines()]
+
+        def traces(change=lambda row: None, drop_strategy=None, extra=()):
+            rows = copy.deepcopy(clean)
+            for row in rows:
+                change(row)
+            return [json.dumps(r) for r in rows if r["strategy"] != drop_strategy] + list(extra)
+
+        def set_predicted(**fields):
+            return lambda row: row["strategy"] == "predicted" and row.update(fields)
+
+        cases = {
+            "null probabilities": traces(set_predicted(probabilities=None)),
+            "empty object line": traces(extra=["{}"]),
+            "number line": traces(extra=["5"]),
+            "no oracle records": traces(drop_strategy="oracle"),
+            "relevant one short": traces(lambda row: row["strategy"] == "predicted" and row["relevant"].pop()),
+            "string m": traces(set_predicted(m="3")),
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
+        out = tmp_path / "run"
+        out.mkdir()
+        for name, lines in cases.items():
+            (out / "traces.jsonl").write_text("\n".join(lines) + "\n")
+            assert run(tmp_path, "--config", "cfg.json", "report") == 2, name
+            assert capsys.readouterr().err.startswith("error: "), name
+            assert not any((out / f).exists() for f in report_files), name
+
+        (out / "traces.jsonl").write_text("\n".join(traces(lambda row: row.pop("selected"))) + "\n")
+        assert run(tmp_path, "--config", "cfg.json", "report") == 0
+        assert {name: (out / name).read_bytes() for name in report_files} == want
 
     def test_labels_without_table_fields(self, tmp_path, capsys):
         (tmp_path / "run").mkdir()

@@ -12,7 +12,6 @@ from fedvec.metrics import (
     SUMMARY_COLUMNS,
     auc_score,
     classifier_metrics,
-    efficiency_summary,
     quality_bar,
     report_from_traces,
     render_report_files,
@@ -123,10 +122,15 @@ class TestAuc:
         assert auc_score(np.array([0.1, 0.9]), np.array([0, 0])) is None
 
 
+def aggregate(records):
+    return report_from_traces(records)["aggregate"]
+
+
 class TestEfficiency:
     def test_hand_traced_totals(self):
-        agg = efficiency_summary(TRACES, n_shards=3)
+        agg = aggregate(TRACES)
         assert agg["n_queries"] == 2
+        assert agg["n_shards"] == 3
         assert agg["k"] == 2
         assert agg["mean_recall"] == pytest.approx(0.75)
         assert agg["total_queries_naive"] == 6
@@ -138,6 +142,7 @@ class TestEfficiency:
         assert agg["bytes_routed"] == 65
         assert agg["bytes_oracle"] == 60
         assert agg["volume_reduction_pct"] == pytest.approx(100 * (1 - 65 / 120))
+        assert agg["oracle_volume_reduction_pct"] == pytest.approx(50.0, abs=1e-12)
         assert agg["fallback_count"] == 1
 
     def test_ten_by_ten_quarter_selected(self):
@@ -148,21 +153,24 @@ class TestEfficiency:
             records.append({"strategy": "naive", "query_id": qid, "k": 5,
                             "m": 10, "bytes_moved": 100, "recall": 1.0,
                             "shard_recalls": [1.0] * 10})
+            records.append({"strategy": "oracle", "query_id": qid, "k": 5,
+                            "m": m, "bytes_moved": 10 * m})
             records.append({"strategy": "predicted", "query_id": qid, "k": 5,
                             "m": m, "bytes_moved": 10 * m, "recall": 1.0,
                             "probabilities": [0.9] * 10, "relevant": [1] * 10,
                             "fallback_used": False})
-        agg = efficiency_summary(records, n_shards=10)
+        agg = aggregate(records)
+        assert agg["n_shards"] == 10
         assert agg["query_reduction_pct"] == pytest.approx(75.0, abs=1e-12)
 
     def test_requires_both_strategies(self):
-        with pytest.raises(ValueError, match="naive and predicted"):
-            efficiency_summary([TRACES[0], TRACES[3]], n_shards=3)
+        with pytest.raises(ValueError, match="one naive, one oracle and one predicted"):
+            aggregate([TRACES[0], TRACES[3]])
 
     def test_quality_bar_thresholds(self):
-        agg = efficiency_summary(TRACES, n_shards=3)
-        report = report_from_traces(TRACES, n_shards=3)
-        bar = quality_bar(agg, report.classifier)
+        report = report_from_traces(TRACES)
+        bar = quality_bar(report["aggregate"], report["classifier"])
+        assert bar == report["quality"]
         assert bar["mean_auc"]["pass"]  # both scored shards sort perfectly
         assert not bar["mean_recall"]["pass"]  # 0.75 < 0.90
         assert bar["routed_query_fraction"]["pass"]  # 3/6 = 0.50, at the cap
@@ -170,14 +178,18 @@ class TestEfficiency:
 
 class TestReport:
     def test_hand_traced_fold(self):
-        report = report_from_traces(TRACES, n_shards=3)
-        assert report.recall_by_shard == [
+        report = report_from_traces(TRACES)
+        assert set(report) == {"aggregate", "classifier", "recall_by_shard", "per_query", "quality"}
+        assert report["recall_by_shard"] == [
             {"shard_id": 0, "mean_recall": 0.5},
             {"shard_id": 1, "mean_recall": 0.75},
             {"shard_id": 2, "mean_recall": 0.5},
         ]
-        assert [p["query_id"] for p in report.per_query] == [0, 1]
-        cls = report.classifier
+        assert report["per_query"] == [
+            {"query_id": 0, "recall": 1.0, "m": 2, "bytes_moved": 40},
+            {"query_id": 1, "recall": 0.5, "m": 1, "bytes_moved": 25},
+        ]
+        cls = report["classifier"]
         assert cls["auc_shards_excluded"] == 1  # shard 1 saw only positives
         assert cls["per_shard"][0]["auc"] == 1.0
         assert cls["per_shard"][1]["auc"] is None
@@ -186,19 +198,20 @@ class TestReport:
         assert cls["mean"]["accuracy"] == pytest.approx((1.0 + 1.0 + 0.5) / 3)
 
     def test_mismatched_query_coverage(self):
-        with pytest.raises(ValueError, match="different queries"):
-            report_from_traces(TRACES[:-1], n_shards=3)  # predicted q1 missing
+        with pytest.raises(ValueError, match="one naive, one oracle and one predicted"):
+            report_from_traces(TRACES[:-1])  # predicted q1 missing
+        with pytest.raises(ValueError, match="one naive, one oracle and one predicted"):
+            report_from_traces(TRACES + TRACES[-1:])  # predicted q1 twice
 
     def test_rendering_is_deterministic(self):
-        report = report_from_traces(TRACES, n_shards=3)
+        report = report_from_traces(TRACES)
         assert render_report_files(report) == render_report_files(report)
 
     def test_csv_shapes(self, tmp_path):
-        report = report_from_traces(
-            TRACES, n_shards=3, latency={"p50_ns": 1.0, "p95_ns": 2.0,
-                                         "batch32_inference_ns": 3.0}
+        report = report_from_traces(TRACES)
+        files = render_report_files(
+            report, {"p50_ns": 1.0, "p95_ns": 2.0, "batch32_inference_ns": 3.0}
         )
-        files = render_report_files(report)
         summary = files["summary.csv"].decode().splitlines()
         assert summary[0].split(",") == SUMMARY_COLUMNS
         assert len(summary) == 2
@@ -208,12 +221,34 @@ class TestReport:
             "shard_0", "shard_1", "shard_2", "routed",
         ]
         strategies = files["queries_by_strategy.csv"].decode().splitlines()
-        assert [r.split(",")[0] for r in strategies[1:]] == [
-            "naive", "oracle", "predicted",
-        ]
+        assert strategies[1:] == ["naive,6,120", "oracle,3,60", "predicted,3,65"]
         assert "latency.json" in files
+        assert "latency.json" not in render_report_files(report)
         # latency never leaks into the deterministic report body
         assert b"latency" not in files["report.json"]
+
+    @pytest.mark.parametrize("bad, match", [
+        (lambda t: t.clear(), "no trace records"),
+        (lambda t: t.append(5), "not a JSON object"),
+        (lambda t: t[0].pop("m"), "no 'm'"),
+        (lambda t: t[2].update(m="2"), "'m' holds a value that is not a JSON int"),
+        (lambda t: t[2].update(bytes_moved=True), "'bytes_moved' holds"),
+        (lambda t: t[2].update(recall=float("nan")), "'recall' holds a non-finite value"),
+        (lambda t: t[5].update(probabilities=[0.2, 0.95]), "'probabilities' is not a list of 3"),
+        (lambda t: t[5].update(relevant=[0, 2, 1]), "'relevant' holds a value other than 0 and 1"),
+        (lambda t: t[5].update(fallback_used=1), "'fallback_used' holds"),
+        (lambda t: t[4].update(strategy="random"), "strategy is not one of"),
+        (lambda t: t[3].update(k=3), "disagree on k"),
+        (lambda t: t[0].update(shard_recalls=[]), "'shard_recalls' is not a nonempty list"),
+        (lambda t: t[0].update(query_id=2**63), "'query_id' holds"),
+        (lambda t: [r.update(bytes_moved=0) for r in t if r["strategy"] == "naive"],
+         "naive trace records move no bytes"),
+    ])
+    def test_malformed_records_rejected(self, bad, match):
+        records = [dict(r) for r in TRACES]
+        bad(records)
+        with pytest.raises(ValueError, match=match):
+            report_from_traces(records)
 
 
 class TestLatency:
