@@ -316,7 +316,8 @@ def cmd_eval(cfg: RunConfig) -> None:
             record(qid, counts, "predicted", decision.selected,
                    probabilities=[float(p) for p in probs],
                    relevant=[int(v) for v in relevant],
-                   fallback_used=decision.fallback_used, latency_ns=latency),
+                   fallback_used=decision.fallback_used, threshold=cfg.threshold,
+                   latency_ns=latency),
         ]
 
     # Batch-32 inference figure: median of 100 timed runs on real feature rows.
@@ -329,7 +330,7 @@ def cmd_eval(cfg: RunConfig) -> None:
         samples.append(time.perf_counter_ns() - t0)
     latency_block = summarize_latency(route_latencies, float(np.median(samples)))
 
-    report = report_from_traces(traces, cfg.threshold)
+    report = report_from_traces(traces)
     files = {
         cfg.traces_path: ("\n".join(json.dumps(t, sort_keys=True) for t in traces) + "\n").encode()
     }
@@ -355,16 +356,24 @@ def _print_quality(quality: dict) -> None:
         print(f"  [{'PASS' if row['pass'] else 'FAIL'}] {name} {value} {bound}")
 
 
-def cmd_report(cfg: RunConfig) -> None:
+def cmd_report(cfg: RunConfig, threshold: float | None) -> None:
+    """Rebuild the report files at the threshold the traces were made at;
+    `threshold`, the --threshold flag if given, must be that one."""
     try:
         lines = cfg.traces_path.read_text().splitlines()
     except OSError as exc:
         raise ValueError(f"cannot read traces {cfg.traces_path}: {exc}") from exc
     try:
         traces = [json.loads(line) for line in lines if line.strip()]
-        report = report_from_traces(traces, cfg.threshold)
+        report = report_from_traces(traces)
     except ValueError as exc:
         raise ValueError(f"{cfg.traces_path}: {exc}") from exc
+    made_at = report["classifier"]["threshold"]
+    if threshold is not None and threshold != made_at:
+        raise ValueError(
+            f"--threshold {threshold} differs from the threshold {made_at} "
+            f"the traces in {cfg.traces_path} were made at"
+        )
     files = {
         cfg.out / name: blob for name, blob in render_report_files(report).items()
     }
@@ -406,7 +415,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "eval":
             cmd_eval(cfg)
         elif args.command == "report":
-            cmd_report(cfg)
+            cmd_report(cfg, args.threshold)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

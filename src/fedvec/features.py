@@ -25,7 +25,11 @@ def feature_rows(queries: np.ndarray, stats: Sequence[ShardStats]) -> np.ndarray
     """Raw (unstandardized) feature rows for every (query, shard) pair: a
     (Q, d) query matrix gives (Q, n_shards, 2d + 3)."""
     queries = np.asarray(queries, dtype=np.float64)
-    centroids = np.stack([s.centroid for s in stats])
+    # np.array, not np.stack: stacking 40 centroids costs more than the
+    # arithmetic below.
+    centroids = np.array([s.centroid for s in stats], dtype=np.float64)
+    if centroids.ndim != 2:
+        raise ValueError("need one or more equal-length shard centroids")
     if queries.ndim != 2 or queries.shape[1] != centroids.shape[1]:
         raise ValueError(f"queries {queries.shape} do not match centroid dim {centroids.shape[1]}")
     n_q, d = queries.shape

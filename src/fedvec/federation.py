@@ -8,6 +8,7 @@ depend on the order shards are searched in.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -72,7 +73,7 @@ def route(
 def merge_hits(hit_lists: Sequence[list[ScoredHit]], k: int) -> list[ScoredHit]:
     """Global k smallest under (distance, shard_id, vector_id) ascending."""
     merged = [h for hits in hit_lists for h in hits]
-    merged.sort(key=lambda h: (h.distance, h.shard_id, h.vector_id))
+    merged.sort(key=attrgetter("distance", "shard_id", "vector_id"))
     return merged[:k]
 
 

@@ -177,12 +177,14 @@ def _column(records: list[dict], name: str, kind: type, width: int | None = None
     return array
 
 
-def report_from_traces(records: Iterable[dict], threshold: float = 0.5) -> dict:
+def report_from_traces(records: Iterable[dict]) -> dict:
     """The pure fold: trace records in, the report.json document out.
 
     Every query needs exactly one naive, one oracle and one predicted record,
-    and the shard count is the width of the naive `shard_recalls`. Any
-    malformed record raises ValueError. Sums run in record order.
+    and the shard count is the width of the naive `shard_recalls`. The
+    classifier block is scored at the `threshold` the predicted records were
+    selected with, which they must agree on. Any malformed record raises
+    ValueError. Sums run in record order.
     """
     records = list(records)
     if not records:
@@ -211,6 +213,10 @@ def report_from_traces(records: Iterable[dict], threshold: float = 0.5) -> dict:
     probs = _column(predicted, "probabilities", float, n_shards)
     labels = _column(predicted, "relevant", int, n_shards)
     fallback = _column(predicted, "fallback_used", bool)
+    thresholds = set(_column(predicted, "threshold", float).tolist())
+    if len(thresholds) != 1:
+        raise ValueError("trace records disagree on threshold")
+    (threshold,) = thresholds
     if not ((labels == 0) | (labels == 1)).all():
         raise ValueError("'relevant' holds a value other than 0 and 1")
     m_naive, m_oracle, m_routed = map(sum, m)

@@ -273,12 +273,12 @@ def forward(params: RouterParams, x: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + e) for z >= 0 and e / (1 + e) below, with e = exp(-|z|), so
+    exp never overflows. -|z| is taken as a select, not abs and negation,
+    which would flip the sign bit of a NaN."""
+    nonneg = z >= 0
+    e = np.exp(np.where(nonneg, -z, z))
+    return np.where(nonneg, 1.0, e) / (1.0 + e)
 
 
 def bce_with_logits(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,8 @@ class ShardIndex:
     ids: np.ndarray        # (n,) int64, unique
     vectors: np.ndarray    # (n, d) float64, C-contiguous
     stats: ShardStats
-    sq_norms: np.ndarray   # (n,) squared row norms, for the GEMM screen
+    sq_norms: np.ndarray   # (n,) squared row norms, for the screen
+    max_sq_norm: float     # sq_norms.max(), for the screen's error bound
 
     @property
     def dim(self) -> int:
@@ -78,7 +80,29 @@ def build_index(shard_id: int, ids: np.ndarray, vectors: np.ndarray) -> ShardInd
     sq_norms = np.einsum("ij,ij->i", vectors, vectors)
     for array in (vectors, ids, sq_norms):
         array.setflags(write=False)
-    return ShardIndex(shard_id, ids, vectors, shard_stats(vectors), sq_norms)
+    return ShardIndex(
+        shard_id, ids, vectors, shard_stats(vectors), sq_norms, float(sq_norms.max())
+    )
+
+
+def _screen_margin(index: ShardIndex, qn: float | np.ndarray) -> float | np.ndarray:
+    """How far above a query's top-th screen value a row may screen and still
+    be among its exact top-k, for squared query norm(s) `qn`.
+
+    The screen s = |x|^2 - 2 x.q is the distance less |q|^2, a shift that a
+    query's rows share. Scaling q by -2 is exact. The dot product of d terms
+    errs by at most ~d u |x||q| (u = eps/2), |x|^2 by d u |x|^2 and the
+    addition by u of its operands, so s is within (2d + 2) u (|x|^2 + |q|^2)
+    of the shifted real distance. The diff-based float distance e is within
+    (d + 3) u |x - q|^2 <= (2d + 6) u (|x|^2 + |q|^2) of the real one. Hence
+    |s - (e - |q|^2)| <= err = 4 (d + 4) eps (max |x|^2 + |q|^2), with room
+    for second-order terms. The `top` smallest screens all have
+    e - |q|^2 <= kth + err, so every row whose e is at most the exact top-th
+    distance, ties included, screens at most kth + 2 err, the margin
+    returned. With top == n the kth value is a row's largest screen, so
+    every row stays.
+    """
+    return 8.0 * (index.dim + 4) * EPS * (index.max_sq_norm + qn)
 
 
 def search_batch(index: ShardIndex, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -100,24 +124,12 @@ def search_batch(index: ShardIndex, queries: np.ndarray, k: int) -> tuple[np.nda
         raise ValueError("non-finite query norm")
     b, n = queries.shape[0], index.vectors.shape[0]
     top = min(k, n)
-    # Screen s = |x|^2 - 2 x.q: the distance less |q|^2, a shift that a
-    # query's rows share. Scaling q by -2 is exact. The dot product of d
-    # terms errs by at most ~d u |x||q| (u = eps/2), |x|^2 by d u |x|^2
-    # and the addition by u of its operands, so s is within
-    # (2d + 2) u (|x|^2 + |q|^2) of the shifted real distance. The
-    # diff-based float distance e is within (d + 3) u |x - q|^2
-    # <= (2d + 6) u (|x|^2 + |q|^2) of the real one. Hence
-    # |s - (e - |q|^2)| <= err = 4 (d + 4) eps (max |x|^2 + |q|^2), with
-    # room for second-order terms. The `top` smallest screens all have
-    # e - |q|^2 <= kth + err, so every row whose e is at most the exact
-    # top-th distance, ties included, screens at most kth + 2 err. With
-    # top == n the kth value is a row's largest screen, so every row stays.
+    # GEMM screen (see _screen_margin), then the diff-based re-rank.
     screen = (-2.0 * queries) @ index.vectors.T
     screen += index.sq_norms
     kth = np.partition(screen, top - 1, axis=1)[:, top - 1]
-    err = 4.0 * (index.dim + 4) * EPS * (index.sq_norms.max() + qn)
     # Written as "not above" so a NaN screen (overflow) keeps its row.
-    keep = ~(screen > (kth + 2.0 * err)[:, None])
+    keep = ~(screen > (kth + _screen_margin(index, qn))[:, None])
     q_of, rows = np.divmod(np.flatnonzero(keep), n)
     dists = np.empty(rows.shape[0])
     for lo in range(0, rows.shape[0], RERANK_ROWS):
@@ -130,13 +142,30 @@ def search_batch(index: ShardIndex, queries: np.ndarray, k: int) -> tuple[np.nda
 
 
 def search_top_k(index: ShardIndex, query: np.ndarray, k: int) -> list[ScoredHit]:
-    """Exact top-k by squared L2, ties broken by ascending vector id."""
+    """Exact top-k by squared L2, ties broken by ascending vector id.
+
+    The one-query form of `search_batch`: a GEMV screen, then the same
+    diff-based re-rank of the rows the margin keeps, so its hits and
+    distances equal `search_batch`'s bit for bit.
+    """
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (index.dim,):
         raise ValueError(f"query dim {query.shape} != shard dim ({index.dim},)")
-    rows, dists = search_batch(index, query[None, :], k)
+    if k <= 0:
+        raise ValueError("k must be positive")
+    qn = float(np.einsum("i,i->", query, query))
+    if not math.isfinite(qn):
+        raise ValueError("non-finite query norm")
+    top = min(k, index.vectors.shape[0])
+    screen = index.vectors @ (-2.0 * query)
+    screen += index.sq_norms
+    kth = np.partition(screen, top - 1)[top - 1]
+    # Written as "not above" so a NaN screen (overflow) keeps its row.
+    rows = (~(screen > kth + _screen_margin(index, qn))).nonzero()[0]
+    dists = squared_distances(index.vectors[rows], query)
+    pick = np.lexsort((index.ids[rows], dists))[:top]
     sid = index.shard_id
     return [
         ScoredHit(sid, vid, dist)
-        for vid, dist in zip(index.ids[rows[0]].tolist(), dists[0].tolist())
+        for vid, dist in zip(index.ids[rows[pick]].tolist(), dists[pick].tolist())
     ]

@@ -152,6 +152,7 @@ class TestPipeline:
         assert predicted
         k = CONFIG["k"]
         for row in predicted:
+            assert row["threshold"] == 0.3
             qid, q = row["query_id"], queries[row["query_id"]]
             decision = route(model, qid, q, stats)
             assert [int(v) for v in decision.selected] == row["selected"], qid
@@ -291,6 +292,9 @@ class TestFailures:
             "no oracle records": traces(drop_strategy="oracle"),
             "relevant one short": traces(lambda row: row["strategy"] == "predicted" and row["relevant"].pop()),
             "string m": traces(set_predicted(m="3")),
+            "thresholds disagree": traces(
+                lambda row: row["strategy"] == "predicted" and row["query_id"] % 2 and row.update(threshold=0.3)
+            ),
         }
         (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
         out = tmp_path / "run"
@@ -304,6 +308,25 @@ class TestFailures:
         (out / "traces.jsonl").write_text("\n".join(traces(lambda row: row.pop("selected"))) + "\n")
         assert run(tmp_path, "--config", "cfg.json", "report") == 0
         assert {name: (out / name).read_bytes() for name in report_files} == want
+
+    def test_report_threshold_is_the_traces_own(self, pipeline, tmp_path, capsys):
+        """Traces made at 0.5: `report` rebuilds eval's files at 0.5, with or
+        without --threshold 0.5; --threshold 0.3 ends in exit 2 and writes
+        nothing, instead of scoring the classifier at a threshold the
+        recorded selections were not made with."""
+        report_files = ["report.json", "summary.csv", "recall_by_shard.csv",
+                        "queries_by_strategy.csv"]
+        want = {name: (pipeline / "run" / name).read_bytes() for name in report_files}
+        (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "traces.jsonl").write_bytes((pipeline / "run" / "traces.jsonl").read_bytes())
+        assert run(tmp_path, "--config", "cfg.json", "--threshold", "0.3", "report") == 2
+        assert capsys.readouterr().err.startswith("error: --threshold 0.3 differs from the threshold 0.5")
+        assert not any((out / f).exists() for f in report_files)
+        for flags in ([], ["--threshold", "0.5"]):
+            assert run(tmp_path, "--config", "cfg.json", *flags, "report") == 0
+            assert {name: (out / name).read_bytes() for name in report_files} == want
 
     def test_labels_without_table_fields(self, tmp_path, capsys):
         (tmp_path / "run").mkdir()

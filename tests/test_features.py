@@ -8,6 +8,7 @@ from fedvec.features import (
     ScalerParams,
     assemble_features,
     feature_dim,
+    feature_rows,
     fit_scaler,
     transform,
 )
@@ -42,6 +43,13 @@ class TestAssembleFeatures:
         stats = ShardStats(centroid=np.zeros(2), count=1, density=1.0)
         with pytest.raises(ValueError):
             assemble_features(np.zeros((2, 2)), stats)
+
+    def test_rows_need_shards_of_one_dim(self):
+        """No shards, or centroids of different lengths, is a ValueError."""
+        stats = [ShardStats(np.zeros(2), 1, 1.0), ShardStats(np.zeros(3), 1, 1.0)]
+        for shards in ([], stats):
+            with pytest.raises(ValueError):
+                feature_rows(np.zeros((1, 2)), shards)
 
 
 class TestScaler:

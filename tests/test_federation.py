@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fedvec.datasets import SplitSpec
 from fedvec.federation import (
     QUERY_BLOCK,
     FederatedResult,
@@ -17,8 +18,10 @@ from fedvec.federation import (
     oracle_decision,
     relevant_shards,
     result_from_hit_lists,
+    route,
 )
-from fedvec.features import assemble_features
+from fedvec.features import assemble_features, feature_rows
+from fedvec.router import TrainConfig, predict_batch, train
 from fedvec.store import ScoredHit, build_index
 
 
@@ -71,6 +74,22 @@ class TestDecisions:
             oracle_decision(4, np.zeros(3), 3)
         with pytest.raises(ValueError, match="shard count"):
             oracle_decision(4, np.array([1, 0]), 3)
+
+    def test_route_probabilities_are_predict_batch_bits(self):
+        """Serving's one-query route gives the bits of predict_batch on the
+        query's feature rows, built alone or in eval's block of queries."""
+        shards = make_shards(n_shards=6, per_shard=20, dim=4, seed=29)
+        rng = np.random.default_rng(31)
+        queries = rng.standard_normal((40, 4))
+        table = generate_labels(shards, list(enumerate(queries)), k=5)
+        model = train(table["features"], table["label"], table["query_id"],
+                      SplitSpec(0.5, 0.25, 0.25, seed=1), TrainConfig(epochs=2, seed=1)).model
+        stats = [s.stats for s in shards]
+        block = feature_rows(queries, stats)
+        for qid, q in enumerate(queries):
+            got = route(model, qid, q, stats).probabilities.tobytes()
+            assert got == predict_batch(model, feature_rows(q[None], stats)[0]).tobytes()
+            assert got == predict_batch(model, block[qid]).tobytes()
 
 
 class TestMerge:

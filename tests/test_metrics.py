@@ -32,13 +32,13 @@ TRACES = [
     {"strategy": "oracle", "query_id": 0, "k": 2, "m": 1, "bytes_moved": 20},
     {"strategy": "predicted", "query_id": 0, "k": 2, "m": 2, "bytes_moved": 40,
      "recall": 1.0, "probabilities": [0.9, 0.8, 0.1], "relevant": [1, 1, 0],
-     "fallback_used": False},
+     "fallback_used": False, "threshold": 0.5},
     {"strategy": "naive", "query_id": 1, "k": 2, "m": 3, "bytes_moved": 60,
      "recall": 1.0, "shard_recalls": [0.0, 1.0, 1.0]},
     {"strategy": "oracle", "query_id": 1, "k": 2, "m": 2, "bytes_moved": 40},
     {"strategy": "predicted", "query_id": 1, "k": 2, "m": 1, "bytes_moved": 25,
      "recall": 0.5, "probabilities": [0.2, 0.95, 0.3], "relevant": [0, 1, 1],
-     "fallback_used": True},
+     "fallback_used": True, "threshold": 0.5},
 ]
 
 
@@ -158,7 +158,7 @@ class TestEfficiency:
             records.append({"strategy": "predicted", "query_id": qid, "k": 5,
                             "m": m, "bytes_moved": 10 * m, "recall": 1.0,
                             "probabilities": [0.9] * 10, "relevant": [1] * 10,
-                            "fallback_used": False})
+                            "fallback_used": False, "threshold": 0.5})
         agg = aggregate(records)
         assert agg["n_shards"] == 10
         assert agg["query_reduction_pct"] == pytest.approx(75.0, abs=1e-12)
@@ -190,6 +190,7 @@ class TestReport:
             {"query_id": 1, "recall": 0.5, "m": 1, "bytes_moved": 25},
         ]
         cls = report["classifier"]
+        assert cls["threshold"] == 0.5  # the predicted records' own
         assert cls["auc_shards_excluded"] == 1  # shard 1 saw only positives
         assert cls["per_shard"][0]["auc"] == 1.0
         assert cls["per_shard"][1]["auc"] is None
@@ -239,6 +240,9 @@ class TestReport:
         (lambda t: t[5].update(fallback_used=1), "'fallback_used' holds"),
         (lambda t: t[4].update(strategy="random"), "strategy is not one of"),
         (lambda t: t[3].update(k=3), "disagree on k"),
+        (lambda t: t[5].update(threshold=0.3), "disagree on threshold"),
+        (lambda t: t[2].pop("threshold"), "no 'threshold'"),
+        (lambda t: t[2].update(threshold="0.5"), "'threshold' holds"),
         (lambda t: t[0].update(shard_recalls=[]), "'shard_recalls' is not a nonempty list"),
         (lambda t: t[0].update(query_id=2**63), "'query_id' holds"),
         (lambda t: [r.update(bytes_moved=0) for r in t if r["strategy"] == "naive"],

@@ -205,6 +205,26 @@ class TestLoss:
         with pytest.raises(ValueError):
             bce_with_logits(np.zeros(2), np.zeros(3))
 
+    def test_sigmoid_matches_two_branch_reference(self):
+        """_sigmoid against the masked two-branch form it replaced, bit for
+        bit, at signed zeros, tiny, saturating and extreme logits."""
+
+        def reference(z):
+            out = np.empty_like(z)
+            pos = z >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ez = np.exp(z[~pos])
+            out[~pos] = ez / (1.0 + ez)
+            return out
+
+        edges = [0.0, 1e-300, 36.0, 745.0, 1e308, np.inf, np.nan]
+        z = np.array(edges + [-v for v in edges])
+        mild = np.random.default_rng(3).normal(0.0, 20.0, size=300)
+        for logits in (z, mild, mild.astype(np.float32)):
+            got = _sigmoid(logits)
+            assert got.dtype == logits.dtype
+            assert got.tobytes() == reference(logits).tobytes()
+
     def test_matches_naive_formula_where_stable(self):
         """Against the textbook -y*log(p) - (1-y)*log(1-p) on mild logits."""
         rng = np.random.default_rng(42)

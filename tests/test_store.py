@@ -32,6 +32,18 @@ def brute_force(index, queries, k):
     return out
 
 
+def assert_both_kernels_exact(index, queries, k):
+    """`search_batch` on the block and `search_top_k` on each query give the
+    brute-force ids and distance bits."""
+    want = brute_force(index, queries, k)
+    rows, dists = search_batch(index, queries, k)
+    assert [(index.ids[r].tolist(), x.tolist()) for r, x in zip(rows, dists)] == want
+    for q, (want_ids, want_d) in zip(queries, want):
+        hits = search_top_k(index, q, k)
+        assert [(h.vector_id, h.distance) for h in hits] == list(zip(want_ids, want_d))
+    return want
+
+
 class TestShardStats:
     def test_centroid_of_two_points(self):
         """(0,0) and (2,0) -> centroid (1,0); mean distance 1 -> density 1/2."""
@@ -153,12 +165,7 @@ class TestSearchBatch:
         assert queries.shape[0] * vectors.shape[0] > RERANK_ROWS
         screen = index.sq_norms - 2.0 * queries @ vectors.T
         for k in (1, 7, 25):
-            want = brute_force(index, queries, k)
-            rows, dists = search_batch(index, queries, k)
-            assert [(index.ids[r].tolist(), x.tolist()) for r, x in zip(rows, dists)] == want
-            for q, (want_ids, want_d) in zip(queries, want):
-                hits = search_top_k(index, q, k)
-                assert [(h.vector_id, h.distance) for h in hits] == list(zip(want_ids, want_d))
+            want = assert_both_kernels_exact(index, queries, k)
             # the screen's own top-k is wrong for some query, so the kept
             # margin is what makes the results exact
             screened = [set(ids[np.argsort(row, kind="stable")[:k]].tolist()) for row in screen]
@@ -171,24 +178,23 @@ class TestSearchBatch:
             index = build_index(0, np.arange(n)[::-1], rng.standard_normal((n, 3)))
             rows, dists = search_batch(index, queries, k)
             assert rows.shape == dists.shape == (9, n)
-            assert [(index.ids[r].tolist(), x.tolist()) for r, x in zip(rows, dists)] == brute_force(
-                index, queries, k
-            )
+            assert_both_kernels_exact(index, queries, k)
 
     def test_matches_brute_force_on_random_blocks(self):
         rng = np.random.default_rng(8)
         index = build_index(1, rng.permutation(500), 3.0 + rng.standard_normal((500, 16)))
         queries = 3.0 + rng.standard_normal((40, 16))
         for k in (1, 10, 499):
-            rows, dists = search_batch(index, queries, k)
-            assert [(index.ids[r].tolist(), x.tolist()) for r, x in zip(rows, dists)] == brute_force(
-                index, queries, k
-            )
+            assert_both_kernels_exact(index, queries, k)
 
     def test_rejects_non_finite_query(self):
+        """A NaN coordinate, or one whose square overflows the norm."""
         index = build_index(0, np.array([1, 2]), np.eye(2))
-        with pytest.raises(ValueError, match="non-finite"):
-            search_batch(index, np.array([[0.0, np.nan]]), 1)
+        for query in (np.array([0.0, np.nan]), np.array([1e200, 0.0])):
+            with pytest.raises(ValueError, match="non-finite"):
+                search_batch(index, query[None, :], 1)
+            with pytest.raises(ValueError, match="non-finite"):
+                search_top_k(index, query, 1)
 
 
 class TestShardDistance:
