@@ -31,12 +31,11 @@ from .features import feature_dim, feature_rows
 from .federation import (
     decision_from_probabilities,
     generate_labels,
-    naive_hit_counts,
     oracle_decision,
     selection_cost,
 )
 from .metrics import report_from_traces, render_report_files, summarize_latency
-from .router import TrainConfig, load_model, predict_batch, serialize_model, train
+from .router import INFER_ROWS, TrainConfig, load_model, predict_batch, serialize_model, train
 from .store import search_top_k  # noqa: F401  (perfbench/selftest.py checks tracing wraps it here)
 from .vecio import manifest_bytes, read_vectors, vector_file_bytes
 
@@ -57,6 +56,10 @@ class RunConfig:
     @property
     def labels_path(self) -> Path:
         return self.out / "labels.npy"
+
+    @property
+    def hits_path(self) -> Path:
+        return self.out / "hits.npy"
 
     @property
     def model_path(self) -> Path:
@@ -213,12 +216,21 @@ def cmd_import(cfg: RunConfig, manifest: Path | None) -> None:
         )
 
 
+def _hits_dtype(n_shards: int) -> np.dtype:
+    """hits.npy's record: a query id and its naive top-k hit count per shard,
+    in manifest order."""
+    return np.dtype([("query_id", "<i8"), ("hits", "<i8", (n_shards,))])
+
+
 def cmd_label(cfg: RunConfig) -> None:
     shards = import_shards(cfg.manifest)
     qids, qvecs = _read_queries(cfg.queries_train)
-    table = generate_labels(shards, list(zip(qids.tolist(), qvecs)), cfg.k)
+    table, counts = generate_labels(shards, list(zip(qids.tolist(), qvecs)), cfg.k)
+    hits = np.empty(len(qids), dtype=_hits_dtype(len(shards)))
+    hits["query_id"] = qids
+    hits["hits"] = counts
 
-    _write_all({cfg.labels_path: table})
+    _write_all({cfg.labels_path: table, cfg.hits_path: hits})
 
     n_pos = int(table["label"].sum())
     per_query = table["label"].reshape(len(qids), len(shards)).sum(axis=1)
@@ -227,6 +239,44 @@ def cmd_label(cfg: RunConfig) -> None:
         f"{n_pos} positive ({100.0 * n_pos / len(table):.1f}%), "
         f"mean relevant shards/query {per_query.mean():.2f}"
     )
+
+
+def _read_hits(cfg: RunConfig, qids: np.ndarray, shards: list) -> np.ndarray:
+    """label's (Q, n_shards) hit counts for `qids`, the queries_train ids in
+    file order, checked: the table must be hits.npy's format for this many
+    shards, have its columns in the manifest's shard order, list exactly
+    these queries, and split each query's top-k, so no count is negative and
+    each row sums to min(k, total rows)."""
+    path = cfg.hits_path
+    try:
+        hits = np.load(path)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read hit counts {path}: {exc}; run label first") from exc
+    want = _hits_dtype(len(shards))
+    if hits.dtype != want:
+        raise ValueError(f"{path}: expected records {want.descr}, got {hits.dtype.descr}")
+    # hits.npy's columns follow the shard order label ran with, which the
+    # first query's rows of labels.npy (written in the same step) name. Only
+    # those rows are read from the mapped file.
+    try:
+        labelled = np.load(cfg.labels_path, mmap_mode="r")["shard_id"][: len(shards)].tolist()
+    except (OSError, ValueError, IndexError) as exc:
+        raise ValueError(f"cannot read shard order from {cfg.labels_path}: {exc}") from exc
+    manifest = [s.shard_id for s in shards]
+    if labelled != manifest:
+        raise ValueError(
+            f"{path}: labelled over shards {labelled}, the manifest lists {manifest}; rerun label"
+        )
+    if not np.array_equal(hits["query_id"], qids):
+        raise ValueError(f"{path}: query ids differ from {cfg.queries_train}; rerun label")
+    counts = hits["hits"]
+    top = min(cfg.k, sum(s.stats.count for s in shards))
+    if (counts < 0).any() or (counts.sum(axis=1) != top).any():
+        raise ValueError(
+            f"{path}: counts do not split each query's top-{top} over the shards; "
+            f"rerun label at k={cfg.k}"
+        )
+    return counts
 
 
 def cmd_train(cfg: RunConfig) -> None:
@@ -266,8 +316,7 @@ def cmd_eval(cfg: RunConfig) -> None:
     qids, qvecs = _read_queries(cfg.queries_train)
     _, _, test_q = split_by_query(qids, cfg.split)
     keep = np.isin(qids, sorted(test_q))
-    qids, qvecs = qids[keep], qvecs[keep]
-    if qids.size == 0:
+    if not keep.any():
         raise ValueError("test split is empty")
 
     stats = [s.stats for s in shards]
@@ -278,12 +327,28 @@ def cmd_eval(cfg: RunConfig) -> None:
             f"{cfg.model_path}: model takes {model.input_dim} features, "
             f"shards of dim {dim} give {feature_dim(dim)}"
         )
-    rows = feature_rows(qvecs, stats)
-    # A selection's merged top-k holds every naive hit from a selected shard
+    # label's counts of each query's naive top-k hits per shard. A
+    # selection's merged top-k holds every naive hit from a selected shard
     # (it ranks no lower among fewer candidates) and none from the others,
     # so its recall is the selected shards' share of the naive top-k.
-    hit_counts = naive_hit_counts(shards, qvecs, cfg.k)
+    hit_counts = _read_hits(cfg, qids, shards)[keep]
+    qids, qvecs = qids[keep], qvecs[keep]
+    rows = feature_rows(qvecs, stats)
     returned = np.array([min(cfg.k, s.stats.count) for s in shards])
+
+    # The router runs over stacks of whole queries, at most INFER_ROWS rows
+    # each; a query's probabilities have the bits of its own call, and its
+    # routing latency is its stack's time shared equally.
+    n_q = len(qids)
+    chunk = max(1, INFER_ROWS // n_shards)
+    probabilities = np.empty((n_q, n_shards))
+    route_latencies: list[int] = []
+    for lo in range(0, n_q, chunk):
+        t0 = time.perf_counter_ns()
+        probabilities[lo : lo + chunk] = predict_batch(model, rows[lo : lo + chunk])
+        elapsed = time.perf_counter_ns() - t0
+        size = min(chunk, n_q - lo)
+        route_latencies += [elapsed // size] * size
 
     def record(qid: int, counts: np.ndarray, strategy: str, selected: np.ndarray, **fields) -> dict:
         """One trace record; strategies differ only in the `fields` they set."""
@@ -297,15 +362,11 @@ def cmd_eval(cfg: RunConfig) -> None:
         }
 
     traces: list[dict] = []
-    route_latencies: list[int] = []
-    for qid, query_rows, counts in zip(qids.tolist(), rows, hit_counts):
+    for qid, probs, latency, counts in zip(
+        qids.tolist(), probabilities, route_latencies, hit_counts
+    ):
         relevant = counts > 0
         oracle = oracle_decision(qid, relevant, n_shards)
-
-        t0 = time.perf_counter_ns()
-        probs = predict_batch(model, query_rows)
-        latency = time.perf_counter_ns() - t0
-        route_latencies.append(latency)
         decision = decision_from_probabilities(qid, probs, cfg.threshold)
 
         n_truth = int(counts.sum())

@@ -107,31 +107,35 @@ def kmeans(
 
     centroids = _kmeans_pp_init(vectors, k, rng)
     sq_norms = np.einsum("ij,ij->i", vectors, vectors)
+    doubled = 2.0 * vectors
+    d2 = np.empty((n, k))
     history: list[float] = []
     assign = np.zeros(n, dtype=np.int64)
 
     for _ in range(max_iter):
-        d2 = (
-            sq_norms[:, None]
-            - 2.0 * vectors @ centroids.T
-            + np.einsum("ij,ij->i", centroids, centroids)[None, :]
-        )
+        # |x|^2 - 2 x.c + |c|^2, in that order, into one reused buffer.
+        np.matmul(doubled, centroids.T, out=d2)
+        np.subtract(sq_norms[:, None], d2, out=d2)
+        d2 += np.einsum("ij,ij->i", centroids, centroids)[None, :]
         assign = d2.argmin(axis=1)
-        inertia = float(d2[np.arange(n), assign].sum())
+        point_dist = d2[np.arange(n), assign]
+        inertia = float(point_dist.sum())
         history.append(inertia)
         small_change = len(history) > 1 and (
             history[-2] <= 0.0
             or abs(history[-2] - inertia) / history[-2] < rel_tol
         )
-        no_empties = np.bincount(assign, minlength=k).min() > 0
-        if no_empties and (inertia == 0.0 or small_change):
+        sizes = np.bincount(assign, minlength=k)
+        if sizes.min() > 0 and (inertia == 0.0 or small_change):
             break
 
-        point_dist = d2[np.arange(n), assign]
+        # One stable sort groups each cluster's members in ascending order,
+        # the rows a boolean mask would pick.
+        members = np.argsort(assign, kind="stable")
+        ends = np.cumsum(sizes)
         for c in range(k):
-            members = assign == c
-            if members.any():
-                centroids[c] = vectors[members].mean(axis=0)
+            if sizes[c]:
+                centroids[c] = vectors[members[ends[c] - sizes[c] : ends[c]]].mean(axis=0)
             else:
                 far = int(point_dist.argmax())
                 centroids[c] = vectors[far]

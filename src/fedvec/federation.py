@@ -15,11 +15,15 @@ import numpy as np
 
 from .features import feature_dim, feature_rows
 from .router import RouterModel, predict_batch
-from .store import ScoredHit, ShardIndex, ShardStats, search_batch, search_top_k
-
-# Queries per scan block: bounds the (block, shard rows) screen matrix, so
-# peak memory does not grow with the number of queries.
-QUERY_BLOCK = 64
+from .store import (
+    SCREEN_BUDGET,
+    ScoredHit,
+    ShardIndex,
+    ShardStats,
+    build_index,
+    search_batch,
+    search_top_k,
+)
 
 
 @dataclass(frozen=True)
@@ -85,8 +89,8 @@ def selection_cost(selected: np.ndarray, returned: Sequence[int], dim: int) -> d
     shards and r embeddings come back from them; each message is one unit
     of a u64 id plus dim f32 coordinates, so (m + r) units move.
     """
-    picked = np.flatnonzero(selected)
-    m, r = picked.size, int(sum(returned[i] for i in picked))
+    m = int(np.count_nonzero(selected))
+    r = int(np.asarray(returned, dtype=np.int64)[selected].sum())
     return {"m": m, "embeddings_returned": r, "bytes_moved": (m + r) * (8 + 4 * dim)}
 
 
@@ -97,10 +101,12 @@ def result_from_hit_lists(
     k: int,
 ) -> FederatedResult:
     """Merge the selected shards' already-fetched lists and account bytes."""
-    cost = selection_cost(decision.selected, [len(h) for h in hit_lists], dim)
+    picked = np.flatnonzero(decision.selected)
+    lists = [hit_lists[i] for i in picked]
+    cost = selection_cost(decision.selected[picked], [len(h) for h in lists], dim)
     return FederatedResult(
         query_id=decision.query_id,
-        hits=merge_hits([hit_lists[i] for i in np.flatnonzero(decision.selected)], k),
+        hits=merge_hits(lists, k),
         shards_queried=cost["m"],
         embeddings_returned=cost["embeddings_returned"],
         bytes_moved=cost["bytes_moved"],
@@ -172,50 +178,60 @@ def naive_hit_counts(
     """(Q, n_shards) int64: how many of each query's naive top-k hits each
     shard holds, for a (Q, d) query matrix.
 
-    Every shard is scanned once per block of QUERY_BLOCK queries, and the
-    block's per-shard top-k lists are merged in the order of `merge_hits`.
-    Within one shard the vector id only orders hits among themselves, so
-    (distance, shard_id) decides every count.
+    One `search_batch` scan over the union of the shards. Each union row's
+    id is its rank under (shard_id, vector_id), so the scan's (distance, id)
+    order is `merge_hits`' (distance, shard_id, vector_id) order, and its
+    top-k is the merged naive top-k.
     """
     queries = np.asarray(queries, dtype=np.float64)
-    # Shard position and shard id of each column of a block's concatenated lists.
-    pos = np.repeat(np.arange(len(shards)), [min(k, s.stats.count) for s in shards])
-    sids = np.array([s.shard_id for s in shards])[pos]
-    counts = np.zeros((queries.shape[0], len(shards)), dtype=np.int64)
-    for lo in range(0, queries.shape[0], QUERY_BLOCK):
-        block = queries[lo : lo + QUERY_BLOCK]
-        dists = np.concatenate([search_batch(s, block, k)[1] for s in shards], axis=1)
-        order = np.lexsort((np.broadcast_to(sids, dists.shape), dists), axis=1)
-        top = pos[order[:, :k]]
-        np.add.at(counts[lo : lo + len(block)], (np.arange(len(block))[:, None], top), 1)
-    return counts
+    sizes = [s.stats.count for s in shards]
+    pos = np.repeat(np.arange(len(shards)), sizes)
+    sids = np.repeat([s.shard_id for s in shards], sizes)
+    ranks = np.empty(pos.size, dtype=np.int64)
+    ranks[np.lexsort((np.concatenate([s.ids for s in shards]), sids))] = np.arange(pos.size)
+    union = build_index(-1, ranks, np.concatenate([s.vectors for s in shards]))
+    rows, _ = search_batch(union, queries, k)
+    n_q, n_shards = queries.shape[0], len(shards)
+    flat = (np.arange(n_q)[:, None] * n_shards + pos[rows]).ravel()
+    return np.bincount(flat, minlength=n_q * n_shards).astype(np.int64, copy=False).reshape(n_q, n_shards)
 
 
 def generate_labels(
     shards: Sequence[ShardIndex],
     queries: Sequence[tuple[int, np.ndarray]],
     k: int,
-) -> np.ndarray:
-    """The labels table: one (query, shard) row per pair, query-major, so Q
-    queries over n shards yield exactly Q*n rows. A row's label is 1 iff the
-    shard placed a hit in the query's naive global top-k."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The labels table and the hit counts it is labelled from.
+
+    The table has one (query, shard) row per pair, query-major, so Q queries
+    over n shards yield exactly Q*n rows. A row's label is 1 iff the shard
+    placed a hit in the query's naive global top-k. The counts are
+    `naive_hit_counts`, (Q, n) in query and shard order.
+    """
     if not shards:
         raise ValueError("no shards to label")
     qids = [qid for qid, _ in queries]
     vecs = np.array([vec for _, vec in queries], dtype=np.float64)
     if not queries:
         vecs = vecs.reshape(0, shards[0].dim)
-    features = feature_rows(vecs, [s.stats for s in shards])
     counts = naive_hit_counts(shards, vecs, k)
+    n_shards, width = len(shards), feature_dim(shards[0].dim)
     dtype = [
         ("query_id", "<i8"),
         ("shard_id", "<i8"),
         ("label", "<i8"),
-        ("features", "<f8", (feature_dim(shards[0].dim),)),
+        ("features", "<f8", (width,)),
     ]
     table = np.zeros(counts.size, dtype=dtype)
-    table["query_id"] = np.repeat(qids, len(shards))
+    table["query_id"] = np.repeat(qids, n_shards)
     table["shard_id"] = np.tile([s.shard_id for s in shards], len(qids))
     table["label"] = (counts > 0).ravel()
-    table["features"] = features.reshape(counts.size, -1)
-    return table
+    # Feature rows go in by query blocks of about SCREEN_BUDGET values; a
+    # query's rows have the same bits whatever block they are built in.
+    stats = [s.stats for s in shards]
+    block = max(1, SCREEN_BUDGET // (n_shards * width))
+    features = table["features"]
+    for lo in range(0, len(qids), block):
+        hi = min(lo + block, len(qids))
+        features[lo * n_shards : hi * n_shards] = feature_rows(vecs[lo:hi], stats).reshape(-1, width)
+    return table, counts

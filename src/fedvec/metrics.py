@@ -183,8 +183,10 @@ def report_from_traces(records: Iterable[dict]) -> dict:
     Every query needs exactly one naive, one oracle and one predicted record,
     and the shard count is the width of the naive `shard_recalls`. The
     classifier block is scored at the `threshold` the predicted records were
-    selected with, which they must agree on. Any malformed record raises
-    ValueError. Sums run in record order.
+    selected with, which they must agree on; each predicted `selected` must
+    be the selection that threshold makes, and its `fallback_used` and `m`
+    must match it. Any malformed record raises ValueError. Sums run in record
+    order.
     """
     records = list(records)
     if not records:
@@ -219,6 +221,18 @@ def report_from_traces(records: Iterable[dict]) -> dict:
     (threshold,) = thresholds
     if not ((labels == 0) | (labels == 1)).all():
         raise ValueError("'relevant' holds a value other than 0 and 1")
+    # A predicted selection is every shard with p >= threshold, or the
+    # lowest-index argmax when none clears it.
+    selected = _column(predicted, "selected", int, n_shards)
+    want = probs >= threshold
+    fell_back = ~want.any(axis=1)
+    want[fell_back, probs[fell_back].argmax(axis=1)] = True
+    if not np.array_equal(selected, want):
+        raise ValueError(f"a predicted 'selected' is not p >= {threshold} with the argmax fallback")
+    if fallback != fell_back.tolist():
+        raise ValueError("a predicted 'fallback_used' disagrees with its probabilities")
+    if m[2] != selected.sum(axis=1).tolist():
+        raise ValueError("a predicted 'm' is not its number of selected shards")
     m_naive, m_oracle, m_routed = map(sum, m)
     b_naive, b_oracle, b_routed = map(sum, moved)
     if b_naive <= 0:

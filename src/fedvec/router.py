@@ -34,6 +34,9 @@ LN_EPS = 1e-5
 # Blocks start at multiples of 128 because BLAS groups rows from a block's
 # start: blocks of a few rows, or starting elsewhere, change logit bits.
 INFER_BLOCK = 128
+# Rows an eval-mode forward piece holds at most, unless one set's block is
+# larger: stacks of small row sets go through several sets per piece.
+INFER_ROWS = 2 * INFER_BLOCK
 
 
 class ModelFormatError(ValueError):
@@ -131,14 +134,15 @@ def init_params(input_dim: int, rng: np.random.Generator) -> RouterParams:
 
 
 def _layer_norm(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise normalization; returns (xhat, 1/sqrt(max(var, eps))).
+    """Normalization over the last axis; returns (xhat, 1/sqrt(max(var, eps))).
 
     The ops are the ones np.mean and np.var run, so xhat has the bits of
-    `(a - a.mean(1)) * (1 / sqrt(max(a.var(1), eps)))`.
+    `(a - a.mean(-1)) * (1 / sqrt(max(a.var(-1), eps)))`, row by row
+    whatever the leading axes.
     """
-    h = a.shape[1]
-    xh = a - a.sum(axis=1, keepdims=True) / h
-    inv = _normalizer((xh * xh).sum(axis=1, keepdims=True) / h)
+    h = a.shape[-1]
+    xh = a - a.sum(axis=-1, keepdims=True) / h
+    inv = _normalizer((xh * xh).sum(axis=-1, keepdims=True) / h)
     xh *= inv
     return xh, inv
 
@@ -189,22 +193,37 @@ class ForwardCache:
 
 
 def _checked_rows(params: RouterParams, x: np.ndarray) -> np.ndarray:
-    """x as rows of the parameters' dtype, checked finite after the cast: a
-    float64 value beyond float32's range becomes inf."""
+    """x as (b, f) rows or a (q, b, f) stack of row sets, in the parameters'
+    dtype, checked finite after the cast: a float64 value beyond float32's
+    range becomes inf."""
     with np.errstate(over="ignore"):
         x = np.asarray(x, dtype=params.w1.dtype)
-    if x.ndim != 2 or x.shape[1] != params.w1.shape[0]:
+    if x.ndim not in (2, 3) or x.shape[-1] != params.w1.shape[0]:
         raise ValueError(f"expected (b, {params.w1.shape[0]}) input, got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input")
     return x
 
 
+def _matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w, one GEMM for rows (b, f) and one per set for a stack
+    (q, b, f), so no GEMM mixes two sets' rows."""
+    if x.ndim == 2:
+        return x @ w
+    out = np.empty(x.shape[:2] + w.shape[1:], dtype=w.dtype)
+    for s in range(x.shape[0]):
+        np.matmul(x[s], w, out=out[s])
+    return out
+
+
 def _forward(
     params: RouterParams, x: np.ndarray, m1: np.ndarray | None, m2: np.ndarray | None
 ) -> ForwardCache:
-    """The forward pass of checked rows x; m1/m2 are the dropout masks or None."""
-    a1 = x @ params.w1
+    """The forward pass of checked rows x (b, f) or stack x (q, b, f); m1/m2
+    are the dropout masks or None. Each affine layer is `_matmul`'s GEMMs;
+    every other step is elementwise or row-wise and runs once over all of x.
+    """
+    a1 = _matmul(x, params.w1)
     a1 += params.b1
     xh1, inv1 = _layer_norm(a1)
     n1 = xh1 * params.ln_g1
@@ -213,7 +232,7 @@ def _forward(
     if m1 is not None:
         h1 *= m1
 
-    a2 = h1 @ params.w2
+    a2 = _matmul(h1, params.w2)
     a2 += params.b2
     xh2, inv2 = _layer_norm(a2)
     n2 = xh2 * params.ln_g2
@@ -222,7 +241,7 @@ def _forward(
     if m2 is not None:
         h2 *= m2
 
-    logits = (h2 @ params.w3)[:, 0]
+    logits = _matmul(h2, params.w3)[..., 0]
     logits += params.b3
     return ForwardCache(x, a1, xh1, inv1, n1, m1, h1, a2, xh2, inv2, n2, m2, h2, logits)
 
@@ -243,6 +262,8 @@ def forward_cache(
     array, masks included, has the parameters' dtype.
     """
     x = _checked_rows(params, x)
+    if x.ndim != 2:
+        raise ValueError(f"expected (b, {params.w1.shape[0]}) input, got {x.shape}")
     if not (train and dropout_rate > 0.0):
         masks = (None, None)
     elif masks is None:
@@ -257,18 +278,25 @@ def forward_cache(
 
 
 def forward(params: RouterParams, x: np.ndarray) -> np.ndarray:
-    """Eval-mode logits for rows x (n, f), in the parameters' dtype.
+    """Eval-mode logits, in the parameters' dtype, for rows x (n, f) or for a
+    stack of row sets x (q, n, f), giving (n,) or (q, n).
 
-    Rows go through in blocks of INFER_BLOCK, the last block taking the
-    remainder, so memory stays bounded whatever n is and no intermediate
-    outlives its block.
+    Every set's rows go through its GEMMs in blocks of INFER_BLOCK, the last
+    block taking the remainder, so a set's logits have the same bits alone
+    or in any stack. The other steps run one piece at a time, a block of
+    rows or the same block of max(1, INFER_ROWS // n) stacked sets, so
+    memory stays bounded whatever the input size.
     """
     x = _checked_rows(params, x)
-    n = x.shape[0]
+    n = x.shape[-2]
     edges = [i * INFER_BLOCK for i in range(max(1, n // INFER_BLOCK))] + [n]
-    logits = np.empty(n, params.w1.dtype)
-    for lo, hi in zip(edges, edges[1:]):
-        logits[lo:hi] = _forward(params, x[lo:hi], None, None).logits
+    pieces = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    if x.ndim == 3:
+        group = max(1, INFER_ROWS // max(n, 1))
+        pieces = [(slice(s0, s0 + group), rows) for s0 in range(0, len(x), group) for rows in pieces]
+    logits = np.empty(x.shape[:-1], params.w1.dtype)
+    for piece in pieces:
+        logits[piece] = _forward(params, x[piece], None, None).logits
     return logits
 
 
@@ -511,7 +539,9 @@ def train(
 
 
 def predict_batch(model: RouterModel, rows: np.ndarray) -> np.ndarray:
-    """Relevance probabilities for raw (unstandardized) feature rows (n, f)."""
+    """Relevance probabilities for raw (unstandardized) feature rows (n, f),
+    or (q, n) of them for a stack of row sets (q, n, f), each set's bits
+    those of its own call."""
     return _sigmoid(forward(model.params, transform(model.scaler, rows)))
 
 

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 EPS = np.finfo(np.float64).eps
+# Screen elements per query block of `search_batch`: a block is
+# max(1, SCREEN_BUDGET // n) queries, so its (queries, n) float64 screen and
+# partition buffers stay near 1 MiB each whatever the query count.
+SCREEN_BUDGET = 1 << 17
 # Candidate rows re-scored at a time: bounds the gathered (rows, d) copies
 # when k >= n or near-ties make the screen keep most of a block's rows.
 RERANK_ROWS = 1 << 14
@@ -22,8 +27,7 @@ class ShardStats:
     density: float
 
 
-@dataclass(frozen=True)
-class ScoredHit:
+class ScoredHit(NamedTuple):
     shard_id: int
     vector_id: int
     distance: float
@@ -106,13 +110,14 @@ def _screen_margin(index: ShardIndex, qn: float | np.ndarray) -> float | np.ndar
 
 
 def search_batch(index: ShardIndex, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact top-k of one shard for each row of a (b, d) query block.
+    """Exact top-k of one shard for each row of a (Q, d) query matrix.
 
-    Returns (rows, distances), both (b, min(k, n)): positions in the index and
-    `squared_distances` values, each query's hits ordered by (distance,
+    Returns (rows, distances), both (Q, min(k, n)): positions in the index
+    and `squared_distances` values, each query's hits ordered by (distance,
     vector id). A GEMM screen picks candidates and the diff-based kernel
     re-scores them, so results equal a full `squared_distances` scan bit for
-    bit.
+    bit. Queries go through in blocks of max(1, SCREEN_BUDGET // n), and the
+    screen, partition and keep buffers are allocated once per call.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != index.dim:
@@ -122,23 +127,39 @@ def search_batch(index: ShardIndex, queries: np.ndarray, k: int) -> tuple[np.nda
     qn = np.einsum("ij,ij->i", queries, queries)
     if not np.isfinite(qn).all():
         raise ValueError("non-finite query norm")
-    b, n = queries.shape[0], index.vectors.shape[0]
+    n_q, n = queries.shape[0], index.vectors.shape[0]
     top = min(k, n)
-    # GEMM screen (see _screen_margin), then the diff-based re-rank.
-    screen = (-2.0 * queries) @ index.vectors.T
-    screen += index.sq_norms
-    kth = np.partition(screen, top - 1, axis=1)[:, top - 1]
-    # Written as "not above" so a NaN screen (overflow) keeps its row.
-    keep = ~(screen > (kth + _screen_margin(index, qn))[:, None])
-    q_of, rows = np.divmod(np.flatnonzero(keep), n)
-    dists = np.empty(rows.shape[0])
-    for lo in range(0, rows.shape[0], RERANK_ROWS):
-        part = slice(lo, lo + RERANK_ROWS)
-        dists[part] = squared_distances(index.vectors[rows[part]], queries[q_of[part]])
-    order = np.lexsort((index.ids[rows], dists, q_of))
-    starts = np.searchsorted(q_of, np.arange(b))
-    pick = order[starts[:, None] + np.arange(top)]
-    return rows[pick], dists[pick]
+    bound = _screen_margin(index, qn)
+    scaled = -2.0 * queries
+    block = max(1, SCREEN_BUDGET // n)
+    width = min(block, n_q)
+    screen_buf, part_buf = np.empty((width, n)), np.empty((width, n))
+    keep_buf = np.empty((width, n), dtype=bool)
+    out_rows = np.empty((n_q, top), dtype=np.intp)
+    out_dists = np.empty((n_q, top))
+    for lo in range(0, n_q, block):
+        hi = min(lo + block, n_q)
+        b = hi - lo
+        # GEMM screen (see _screen_margin), then the diff-based re-rank.
+        screen, part, keep = screen_buf[:b], part_buf[:b], keep_buf[:b]
+        np.matmul(scaled[lo:hi], index.vectors.T, out=screen)
+        screen += index.sq_norms
+        np.copyto(part, screen)
+        part.partition(top - 1, axis=1)
+        # Written as "not above" so a NaN screen (overflow) keeps its row.
+        np.greater(screen, (part[:, top - 1] + bound[lo:hi])[:, None], out=keep)
+        np.logical_not(keep, out=keep)
+        q_of, rows = np.divmod(np.flatnonzero(keep), n)
+        dists = np.empty(rows.shape[0])
+        for r in range(0, rows.shape[0], RERANK_ROWS):
+            chunk = slice(r, r + RERANK_ROWS)
+            dists[chunk] = squared_distances(index.vectors[rows[chunk]], queries[lo + q_of[chunk]])
+        order = np.lexsort((index.ids[rows], dists, q_of))
+        starts = np.searchsorted(q_of, np.arange(b))
+        pick = order[starts[:, None] + np.arange(top)]
+        out_rows[lo:hi] = rows[pick]
+        out_dists[lo:hi] = dists[pick]
+    return out_rows, out_dists
 
 
 def search_top_k(index: ShardIndex, query: np.ndarray, k: int) -> list[ScoredHit]:

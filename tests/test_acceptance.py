@@ -57,6 +57,7 @@ BENCH_ARTIFACTS = [
     "queries_train.fvr",
     "queries_eval.fvr",
     "labels.npy",
+    "hits.npy",
     "router.rrm",
     "training_log.csv",
     "report.json",

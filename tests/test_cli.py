@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import fedvec.cli
+import fedvec.federation
+import fedvec.store
 from fedvec.cli import main
 from fedvec.datasets import SplitSpec, import_shards, split_by_query
 from fedvec.features import ScalerParams, feature_dim
@@ -82,6 +84,19 @@ class TestPipeline:
         # feature layout is [query | centroid | distance | count | density]
         assert table["features"].shape == (240, 2 * 4 + 3)
         assert set(np.unique(table["label"])) <= {0, 1}
+
+    def test_label_writes_hit_counts(self, pipeline):
+        """hits.npy: one record per queries_train query in file order, each
+        query's naive top-k split over the shards in manifest order, and
+        positive exactly where labels.npy labels 1."""
+        out = pipeline / "run"
+        hits = np.load(out / "hits.npy")
+        assert hits.dtype == np.dtype([("query_id", "<i8"), ("hits", "<i8", (3,))])
+        qids, _ = read_vectors(out / "queries_train.fvr")
+        assert hits["query_id"].tolist() == qids.tolist()
+        assert (hits["hits"] >= 0).all() and (hits["hits"].sum(axis=1) == CONFIG["k"]).all()
+        table = np.load(out / "labels.npy")
+        np.testing.assert_array_equal(table["label"].reshape(80, 3), hits["hits"] > 0)
 
     def test_training_log(self, pipeline):
         lines = (pipeline / "run" / "training_log.csv").read_text().splitlines()
@@ -268,8 +283,8 @@ class TestFailures:
 
     def test_malformed_traces_for_report(self, pipeline, tmp_path, capsys):
         """Each broken copy of the pipeline's traces ends `report` in exit 2
-        and writes nothing, except one without `selected`, a field the report
-        does not read, which rebuilds eval's report files."""
+        and writes nothing, except one without `latency_ns`, a field the
+        report does not read, which rebuilds eval's report files."""
         report_files = ["report.json", "summary.csv", "recall_by_shard.csv",
                         "queries_by_strategy.csv"]
         want = {name: (pipeline / "run" / name).read_bytes() for name in report_files}
@@ -305,9 +320,44 @@ class TestFailures:
             assert capsys.readouterr().err.startswith("error: "), name
             assert not any((out / f).exists() for f in report_files), name
 
-        (out / "traces.jsonl").write_text("\n".join(traces(lambda row: row.pop("selected"))) + "\n")
+        (out / "traces.jsonl").write_text("\n".join(traces(lambda row: row.pop("latency_ns"))) + "\n")
         assert run(tmp_path, "--config", "cfg.json", "report") == 0
         assert {name: (out / name).read_bytes() for name in report_files} == want
+
+    def test_report_checks_predicted_selections(self, pipeline, tmp_path, capsys):
+        """A predicted record must select p >= threshold, or the lowest-index
+        argmax when nothing clears it, and its fallback_used and m must say
+        the same: each copy of the traces that breaks one of these for one
+        query ends `report` in exit 2 and writes nothing."""
+        report_files = ["report.json", "summary.csv", "recall_by_shard.csv",
+                        "queries_by_strategy.csv"]
+        clean = [json.loads(line) for line in
+                 (pipeline / "run" / "traces.jsonl").read_text().splitlines()]
+        first = next(i for i, row in enumerate(clean)
+                     if row["strategy"] == "predicted" and not row["fallback_used"]
+                     and min(row["probabilities"]) < row["threshold"])
+
+        def tie(row):
+            # every shard at 0.2 < 0.5: the fallback must take shard 0, not 1
+            row.update(probabilities=[0.2] * 3, selected=[0, 1, 0], fallback_used=True, m=1)
+
+        cases = {
+            "every shard selected": lambda row: row.update(selected=[1] * 3, m=3),
+            "selected missing": lambda row: row.pop("selected"),
+            "fallback flag set": lambda row: row.update(fallback_used=True),
+            "m one more": lambda row: row.update(m=row["m"] + 1),
+            "fallback not the lowest argmax": tie,
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
+        out = tmp_path / "run"
+        out.mkdir()
+        for name, change in cases.items():
+            rows = copy.deepcopy(clean)
+            change(rows[first])
+            (out / "traces.jsonl").write_text("\n".join(map(json.dumps, rows)) + "\n")
+            assert run(tmp_path, "--config", "cfg.json", "report") == 2, name
+            assert capsys.readouterr().err.startswith("error: "), name
+            assert not any((out / f).exists() for f in report_files), name
 
     def test_report_threshold_is_the_traces_own(self, pipeline, tmp_path, capsys):
         """Traces made at 0.5: `report` rebuilds eval's files at 0.5, with or
@@ -400,8 +450,68 @@ class TestFailures:
         (tmp_path / "run" / "router.rrm").write_bytes(serialize_model(model))
 
         def no_scan(*args):
-            raise AssertionError("eval scanned shards with an unusable model")
+            raise AssertionError("eval scanned shards")
 
-        monkeypatch.setattr(fedvec.cli, "naive_hit_counts", no_scan)
+        for module in (fedvec.store, fedvec.federation, fedvec.cli):
+            for name in ("search_batch", "search_top_k", "naive_hit_counts"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, no_scan)
         assert run(tmp_path, "--config", "cfg.json", "eval") == 2
         assert "model takes 13 features, shards of dim 4 give 11" in capsys.readouterr().err
+
+    def test_eval_rejects_malformed_hits(self, tmp_path, capsys):
+        """eval reads label's hits.npy instead of scanning: a missing file,
+        another record layout or width, other query ids, a negative count,
+        columns in another shard order than the manifest's or counts of
+        another k end in exit 2 and write nothing."""
+        (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
+        for command in ("synth", "label", "train"):
+            assert run(tmp_path, "--config", "cfg.json", command) == 0
+        out = tmp_path / "run"
+        hits_path = out / "hits.npy"
+        clean = np.load(hits_path)
+
+        def with_hits(width, counts, dtype="<i8"):
+            table = np.zeros(len(clean), dtype=[("query_id", "<i8"), ("hits", dtype, (width,))])
+            table["query_id"] = clean["query_id"]
+            table["hits"] = counts
+            return table
+
+        negative = clean.copy()
+        negative["hits"][5, :2] += [-(negative["hits"][5, 0] + 1), negative["hits"][5, 0] + 1]
+        cases = {
+            "missing": (None, "cannot read hit counts"),
+            "int32 counts": (with_hits(3, clean["hits"], "<i4"), "expected records"),
+            "plain array": (clean["hits"], "expected records"),
+            "one column more": (with_hits(4, np.pad(clean["hits"], ((0, 0), (0, 1)))), "expected records"),
+            "query ids reversed": (clean[::-1], "query ids differ"),
+            "negative count": (negative, "counts do not split"),
+        }
+        for name, (table, message) in cases.items():
+            hits_path.unlink(missing_ok=True)
+            if table is not None:
+                np.save(hits_path, table)
+            assert run(tmp_path, "--config", "cfg.json", "eval") == 2, name
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err, (name, err)
+            assert not (out / "traces.jsonl").exists() and not (out / "report.json").exists(), name
+
+        # The manifest's shards reordered after label.
+        np.save(hits_path, clean)
+        manifest = out / "manifest.json"
+        listed = manifest.read_text()
+        doc = json.loads(listed)
+        doc["shards"].reverse()
+        manifest.write_text(json.dumps(doc))
+        assert run(tmp_path, "--config", "cfg.json", "eval") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "the manifest lists [2, 1, 0]; rerun label" in err
+        assert not (out / "traces.jsonl").exists() and not (out / "report.json").exists()
+        manifest.write_text(listed)
+
+        # Counts labelled at another k.
+        assert run(tmp_path, "--config", "cfg.json", "--k", "5", "label") == 0
+        assert run(tmp_path, "--config", "cfg.json", "eval") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "rerun label at k=3" in err
+        assert not (out / "traces.jsonl").exists() and not (out / "report.json").exists()

@@ -6,12 +6,14 @@ import pytest
 from fedvec.datasets import (
     SplitSpec,
     SyntheticSpec,
+    _kmeans_pp_init,
     generate_synthetic,
     import_shards,
     kmeans,
     kmeans_shard,
     split_by_query,
 )
+from fedvec.rng import substream
 from fedvec.vecio import manifest_bytes, vector_file_bytes
 
 
@@ -26,7 +28,55 @@ def four_blobs(per_blob=25, seed=19):
     return vectors, labels, centers
 
 
+def kmeans_mask_loop(vectors, k, seed, max_iter=100, rel_tol=1e-6):
+    """Lloyd's loop written plainly: a fresh distance matrix per round and
+    one boolean mask per cluster."""
+    n = vectors.shape[0]
+    centroids = _kmeans_pp_init(vectors, k, substream(seed, "kmeans"))
+    sq_norms = np.einsum("ij,ij->i", vectors, vectors)
+    history = []
+    for _ in range(max_iter):
+        d2 = (
+            sq_norms[:, None]
+            - 2.0 * vectors @ centroids.T
+            + np.einsum("ij,ij->i", centroids, centroids)[None, :]
+        )
+        assign = d2.argmin(axis=1)
+        inertia = float(d2[np.arange(n), assign].sum())
+        history.append(inertia)
+        small_change = len(history) > 1 and (
+            history[-2] <= 0.0 or abs(history[-2] - inertia) / history[-2] < rel_tol
+        )
+        if np.bincount(assign, minlength=k).min() > 0 and (inertia == 0.0 or small_change):
+            break
+        point_dist = d2[np.arange(n), assign]
+        for c in range(k):
+            members = assign == c
+            if members.any():
+                centroids[c] = vectors[members].mean(axis=0)
+            else:
+                far = int(point_dist.argmax())
+                centroids[c] = vectors[far]
+                point_dist[far] = -1.0
+    return centroids, assign, history
+
+
 class TestKMeans:
+    def test_matches_mask_loop_reference(self):
+        """The reused distance buffer and the sorted member groups give the
+        plain loop's centroids, assignment and inertia history bit for bit,
+        on a synthetic corpus and on points that leave clusters empty."""
+        corpus = generate_synthetic(SyntheticSpec(n_clusters=6, dim=8, points_per_cluster=(40, 90),
+                                                  n_train_queries=10, seed=4)).corpus
+        cases = [(corpus, 6, 4), (np.array([[0.0]] * 8 + [[10.0]] * 8), 3, 2),
+                 (np.repeat(np.eye(3) * 5.0, [5, 1, 30], axis=0), 5, 1)]
+        for vectors, k, seed in cases:
+            want = kmeans_mask_loop(vectors, k, seed, max_iter=30)
+            got = kmeans(vectors, k, seed, max_iter=30)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tolist() == want[1].tolist()
+            assert got[2] == want[2]
+
     def test_recovers_separated_blobs(self):
         vectors, labels, centers = four_blobs()
         centroids, assign, _ = kmeans(vectors, 4, seed=1)

@@ -7,7 +7,6 @@ import pytest
 
 from fedvec.datasets import SplitSpec
 from fedvec.federation import (
-    QUERY_BLOCK,
     FederatedResult,
     decision_from_probabilities,
     federated_search,
@@ -22,7 +21,7 @@ from fedvec.federation import (
 )
 from fedvec.features import assemble_features, feature_rows
 from fedvec.router import TrainConfig, predict_batch, train
-from fedvec.store import ScoredHit, build_index
+from fedvec.store import SCREEN_BUDGET, ScoredHit, build_index
 
 
 def make_shards(n_shards=3, per_shard=5, dim=3, seed=11, id_base=100):
@@ -81,7 +80,7 @@ class TestDecisions:
         shards = make_shards(n_shards=6, per_shard=20, dim=4, seed=29)
         rng = np.random.default_rng(31)
         queries = rng.standard_normal((40, 4))
-        table = generate_labels(shards, list(enumerate(queries)), k=5)
+        table, _ = generate_labels(shards, list(enumerate(queries)), k=5)
         model = train(table["features"], table["label"], table["query_id"],
                       SplitSpec(0.5, 0.25, 0.25, seed=1), TrainConfig(epochs=2, seed=1)).model
         stats = [s.stats for s in shards]
@@ -177,8 +176,9 @@ class TestLabels:
         shards = make_shards(n_shards=3, per_shard=5, seed=13)
         rng = np.random.default_rng(17)
         queries = [(qid, rng.standard_normal(3)) for qid in range(12)]
-        table = generate_labels(shards, queries, k=4)
+        table, counts = generate_labels(shards, queries, k=4)
         assert table.shape == (12 * 3,)
+        assert counts.shape == (12, 3) and counts.dtype == np.int64
         assert table.dtype.names == ("query_id", "shard_id", "label", "features")
         by_query = {}
         for qid, query in queries:
@@ -194,16 +194,17 @@ class TestLabels:
     def test_every_query_contributes_rows_for_every_shard(self):
         shards = make_shards()
         queries = [(5, np.zeros(3)), (6, np.ones(3))]
-        table = generate_labels(shards, queries, k=2)
+        table, _ = generate_labels(shards, queries, k=2)
         assert list(zip(table["query_id"].tolist(), table["shard_id"].tolist())) == [
             (5, 0), (5, 1), (5, 2), (6, 0), (6, 1), (6, 2),
         ]
 
 
     def test_blocks_and_cross_shard_ties_match_per_query_search(self):
-        """A query count that is not a multiple of QUERY_BLOCK, and points
-        shared by several shards so the k-th place is a tie that shard_id
-        breaks: every row must equal the per-query naive_search reference."""
+        """A query count that is not a multiple of the union scan's block of
+        SCREEN_BUDGET // 36 queries, and points shared by several shards so
+        the k-th place is a tie that shard_id breaks: every row must equal
+        the per-query naive_search reference."""
         rng = np.random.default_rng(23)
         grid = rng.integers(0, 3, size=(12, 2)).astype(float)
         shards = [
@@ -211,10 +212,12 @@ class TestLabels:
             for sid in (4, 1, 7)
         ]
         queries = [(100 + i, rng.integers(0, 3, size=2) + 0.5 * rng.integers(0, 2, size=2))
-                   for i in range(QUERY_BLOCK + 37)]
+                   for i in range(SCREEN_BUDGET // 36 + 37)]
         for k in (1, 5):
-            table = generate_labels(shards, queries, k)
-            counts = naive_hit_counts(shards, np.array([q for _, q in queries]), k)
+            table, counts = generate_labels(shards, queries, k)
+            np.testing.assert_array_equal(
+                counts, naive_hit_counts(shards, np.array([q for _, q in queries]), k)
+            )
             for i, (qid, query) in enumerate(queries):
                 hits = naive_search(qid, shards, query, k).hits
                 labels = relevant_shards(hits, shards)
@@ -225,6 +228,31 @@ class TestLabels:
                 for row, shard in zip(rows, shards):
                     np.testing.assert_array_equal(row["features"], assemble_features(query, shard.stats))
                     assert counts[i, shards.index(shard)] == sum(h.shard_id == shard.shard_id for h in hits)
+
+    def test_union_scan_counts_at_block_edges_and_deep_k(self):
+        """Four shards of 700, 300, 2000 and 1096 grid points (4096 rows, so
+        the union scan's blocks hold SCREEN_BUDGET // 4096 queries), listed
+        out of shard_id order and sharing vector ids and points: the counts
+        equal the per-query naive_search merge at query counts around the
+        block edges, and at k up to and beyond the smallest shard and all
+        rows."""
+        rng = np.random.default_rng(37)
+        sizes, sids = (700, 300, 2000, 1096), (9, 2, 5, 0)
+        shards = [
+            build_index(sid, rng.permutation(n), rng.integers(0, 5, size=(n, 3)).astype(float))
+            for sid, n in zip(sids, sizes)
+        ]
+        block = SCREEN_BUDGET // sum(sizes)
+        assert block > 1
+        for n_q in (block - 1, block, block + 1, 2 * block + 1):
+            queries = rng.integers(0, 5, size=(n_q, 3)) + 0.5 * rng.integers(0, 2, size=(n_q, 3))
+            for k in (1, 10, 300, 301, 5000):
+                counts = naive_hit_counts(shards, queries, k)
+                assert counts.shape == (n_q, 4) and counts.dtype == np.int64
+                for i, query in enumerate(queries):
+                    hits = naive_search(i, shards, query, k).hits
+                    want = [sum(h.shard_id == sid for h in hits) for sid in sids]
+                    assert counts[i].tolist() == want, (n_q, k, i)
 
 
 class TestByteMonotonicity:

@@ -32,13 +32,13 @@ TRACES = [
     {"strategy": "oracle", "query_id": 0, "k": 2, "m": 1, "bytes_moved": 20},
     {"strategy": "predicted", "query_id": 0, "k": 2, "m": 2, "bytes_moved": 40,
      "recall": 1.0, "probabilities": [0.9, 0.8, 0.1], "relevant": [1, 1, 0],
-     "fallback_used": False, "threshold": 0.5},
+     "selected": [1, 1, 0], "fallback_used": False, "threshold": 0.5},
     {"strategy": "naive", "query_id": 1, "k": 2, "m": 3, "bytes_moved": 60,
      "recall": 1.0, "shard_recalls": [0.0, 1.0, 1.0]},
     {"strategy": "oracle", "query_id": 1, "k": 2, "m": 2, "bytes_moved": 40},
     {"strategy": "predicted", "query_id": 1, "k": 2, "m": 1, "bytes_moved": 25,
-     "recall": 0.5, "probabilities": [0.2, 0.95, 0.3], "relevant": [0, 1, 1],
-     "fallback_used": True, "threshold": 0.5},
+     "recall": 0.5, "probabilities": [0.2, 0.45, 0.3], "relevant": [0, 1, 1],
+     "selected": [0, 1, 0], "fallback_used": True, "threshold": 0.5},
 ]
 
 
@@ -157,7 +157,8 @@ class TestEfficiency:
                             "m": m, "bytes_moved": 10 * m})
             records.append({"strategy": "predicted", "query_id": qid, "k": 5,
                             "m": m, "bytes_moved": 10 * m, "recall": 1.0,
-                            "probabilities": [0.9] * 10, "relevant": [1] * 10,
+                            "probabilities": [0.9] * m + [0.1] * (10 - m),
+                            "relevant": [1] * 10, "selected": [1] * m + [0] * (10 - m),
                             "fallback_used": False, "threshold": 0.5})
         agg = aggregate(records)
         assert agg["n_shards"] == 10
@@ -196,7 +197,7 @@ class TestReport:
         assert cls["per_shard"][1]["auc"] is None
         assert cls["per_shard"][2]["no_positive_predictions"]
         assert cls["mean"]["auc"] == 1.0
-        assert cls["mean"]["accuracy"] == pytest.approx((1.0 + 1.0 + 0.5) / 3)
+        assert cls["mean"]["accuracy"] == pytest.approx((1.0 + 0.5 + 0.5) / 3)
 
     def test_mismatched_query_coverage(self):
         with pytest.raises(ValueError, match="one naive, one oracle and one predicted"):
@@ -247,6 +248,11 @@ class TestReport:
         (lambda t: t[0].update(query_id=2**63), "'query_id' holds"),
         (lambda t: [r.update(bytes_moved=0) for r in t if r["strategy"] == "naive"],
          "naive trace records move no bytes"),
+        (lambda t: t[2].pop("selected"), "no 'selected'"),
+        (lambda t: t[2].update(selected=[1, 1, 1], m=3), r"not p >= 0.5 with the argmax fallback"),
+        (lambda t: t[5].update(selected=[0, 0, 1]), r"not p >= 0.5 with the argmax fallback"),
+        (lambda t: t[5].update(fallback_used=False), "'fallback_used' disagrees"),
+        (lambda t: t[2].update(m=1), "'m' is not its number of selected shards"),
     ])
     def test_malformed_records_rejected(self, bad, match):
         records = [dict(r) for r in TRACES]

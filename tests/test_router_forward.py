@@ -10,16 +10,19 @@ import math
 import numpy as np
 import pytest
 
+from fedvec.features import ScalerParams
 from fedvec.router import (
     _PARAM_ORDER,
     HIDDEN1,
     HIDDEN2,
     LN_EPS,
+    RouterModel,
     RouterParams,
     bce_with_logits,
     forward,
     forward_cache,
     init_params,
+    predict_batch,
     _sigmoid,
 )
 from fedvec.rng import substream
@@ -87,6 +90,25 @@ class TestForward:
         for n in (1, 7, 127, 255, 256, 257, 2000, 2001):
             x = rng.standard_normal((n, 67))
             assert forward(params, x).tobytes() == forward_cache(params, x).logits.tobytes(), n
+
+    def test_stacked_sets_have_their_own_bits(self):
+        """predict_batch on a (q, n, f) stack gives each set the bits of its
+        own (n, f) call: no GEMM mixes two sets, and every other step is
+        row-wise. n covers empty sets, one row, small sets grouped several
+        to a piece, and sets of one and of two GEMM blocks."""
+        rng = np.random.default_rng(9)
+        params = init_params(23, rng)
+        for name in _PARAM_ORDER:
+            arr = getattr(params, name)
+            arr += 0.1 * rng.standard_normal(arr.shape)
+        model = RouterModel(params, ScalerParams(rng.standard_normal(23), 0.5 + rng.random(23)),
+                            dropout_rate=0.2, threshold=0.5, seed=0)
+        for n in (0, 1, 10, 40, 255, 256, 300):
+            stack = 2.0 * rng.standard_normal((7, n, 23))
+            probs = predict_batch(model, stack)
+            assert probs.shape == (7, n)
+            for s in range(7):
+                assert probs[s].tobytes() == predict_batch(model, stack[s]).tobytes(), (n, s)
 
     def test_train_dropout_requires_rng(self):
         params = init_params(5, np.random.default_rng(0))
