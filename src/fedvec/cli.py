@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -28,14 +29,9 @@ from .datasets import (
     split_by_query,
 )
 from .features import feature_dim, feature_rows
-from .federation import (
-    decision_from_probabilities,
-    generate_labels,
-    oracle_decision,
-    selection_cost,
-)
+from .federation import generate_labels, select_shards, selection_cost
 from .metrics import report_from_traces, render_report_files, summarize_latency
-from .router import INFER_ROWS, TrainConfig, load_model, predict_batch, serialize_model, train
+from .router import TrainConfig, load_model, predict_batch, serialize_model, train
 from .store import search_top_k  # noqa: F401  (perfbench/selftest.py checks tracing wraps it here)
 from .vecio import manifest_bytes, read_vectors, vector_file_bytes
 
@@ -79,7 +75,8 @@ _TOP_LEVEL_TYPES = {
 
 def _json_type_ok(value, type_name: str) -> bool:
     """Whether a JSON value fits a config field annotated `type_name`. An
-    integer fits a float; a bool fits no number; null fits only `| None`."""
+    integer fits a float; a bool, Infinity or NaN fits no number; null fits
+    only `| None`."""
     if value is None:
         return type_name.endswith(" | None")
     base = type_name.removesuffix(" | None")
@@ -87,6 +84,8 @@ def _json_type_ok(value, type_name: str) -> bool:
         return isinstance(value, list) and len(value) == 2 and all(
             _json_type_ok(v, "int") for v in value
         )
+    if isinstance(value, float) and not math.isfinite(value):
+        return False
     return not isinstance(value, bool) and isinstance(value, _JSON_TYPES[base])
 
 
@@ -336,11 +335,12 @@ def cmd_eval(cfg: RunConfig) -> None:
     rows = feature_rows(qvecs, stats)
     returned = np.array([min(cfg.k, s.stats.count) for s in shards])
 
-    # The router runs over stacks of whole queries, at most INFER_ROWS rows
-    # each; a query's probabilities have the bits of its own call, and its
-    # routing latency is its stack's time shared equally.
+    # The router runs over stacks of whole queries, at most 256 rows each
+    # (one query's rows if it has more), which bounds inference memory; a
+    # query's probabilities have the bits of its own call, and its routing
+    # latency is its stack's time shared equally.
     n_q = len(qids)
-    chunk = max(1, INFER_ROWS // n_shards)
+    chunk = max(1, 256 // n_shards)
     probabilities = np.empty((n_q, n_shards))
     route_latencies: list[int] = []
     for lo in range(0, n_q, chunk):
@@ -361,23 +361,21 @@ def cmd_eval(cfg: RunConfig) -> None:
             **fields,
         }
 
+    selected, fallback = select_shards(probabilities, cfg.threshold)
     traces: list[dict] = []
-    for qid, probs, latency, counts in zip(
-        qids.tolist(), probabilities, route_latencies, hit_counts
+    for qid, probs, latency, counts, picked, fell_back in zip(
+        qids.tolist(), probabilities, route_latencies, hit_counts, selected, fallback.tolist()
     ):
-        relevant = counts > 0
-        oracle = oracle_decision(qid, relevant, n_shards)
-        decision = decision_from_probabilities(qid, probs, cfg.threshold)
-
+        relevant = counts > 0  # the oracle's selection: every shard holding a naive hit
         n_truth = int(counts.sum())
         traces += [
             record(qid, counts, "naive", np.ones(n_shards, dtype=bool),
                    shard_recalls=[c / n_truth for c in counts.tolist()]),
-            record(qid, counts, "oracle", oracle.selected),
-            record(qid, counts, "predicted", decision.selected,
+            record(qid, counts, "oracle", relevant),
+            record(qid, counts, "predicted", picked,
                    probabilities=[float(p) for p in probs],
                    relevant=[int(v) for v in relevant],
-                   fallback_used=decision.fallback_used, threshold=cfg.threshold,
+                   fallback_used=fell_back, threshold=cfg.threshold,
                    latency_ns=latency),
         ]
 

@@ -43,18 +43,16 @@ class FederatedResult:
     bytes_moved: int
 
 
-def decision_from_probabilities(
-    query_id: int, probabilities: np.ndarray, threshold: float
-) -> RoutingDecision:
-    """Threshold the per-shard probabilities; if nothing clears it, fall back
-    to the single most probable shard (lowest index on ties)."""
-    probabilities = np.asarray(probabilities, dtype=np.float64)
+def select_shards(probabilities: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """The routing rule over (Q, n_shards) probabilities: a query selects
+    every shard with p >= threshold or, when none clears it, falls back to
+    its single most probable shard (lowest index on ties). Returns
+    (selected (Q, n_shards) bool, fallback (Q,) bool)."""
     selected = probabilities >= threshold
-    fallback = not selected.any()
-    if fallback:
-        selected = np.zeros(probabilities.shape[0], dtype=bool)
-        selected[int(probabilities.argmax())] = True
-    return RoutingDecision(query_id, probabilities, selected, fallback)
+    fallback = ~selected.any(axis=1)
+    if fallback.any():  # the indexing costs a served query a few µs; most never fall back
+        selected[fallback, probabilities[fallback].argmax(axis=1)] = True
+    return selected, fallback
 
 
 def route(
@@ -71,7 +69,9 @@ def route(
     if not shard_stats:
         raise ValueError("no shards to route over")
     rows = feature_rows(np.asarray(query)[None], shard_stats)[0]
-    return decision_from_probabilities(query_id, predict_batch(model, rows), model.threshold)
+    probabilities = predict_batch(model, rows)
+    selected, fallback = select_shards(probabilities[None], model.threshold)
+    return RoutingDecision(query_id, probabilities, selected[0], bool(fallback[0]))
 
 
 def merge_hits(hit_lists: Sequence[list[ScoredHit]], k: int) -> list[ScoredHit]:

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .federation import FederatedResult
+from .federation import FederatedResult, select_shards
 
 STRATEGIES = ("naive", "oracle", "predicted")
 
@@ -221,12 +221,8 @@ def report_from_traces(records: Iterable[dict]) -> dict:
     (threshold,) = thresholds
     if not ((labels == 0) | (labels == 1)).all():
         raise ValueError("'relevant' holds a value other than 0 and 1")
-    # A predicted selection is every shard with p >= threshold, or the
-    # lowest-index argmax when none clears it.
     selected = _column(predicted, "selected", int, n_shards)
-    want = probs >= threshold
-    fell_back = ~want.any(axis=1)
-    want[fell_back, probs[fell_back].argmax(axis=1)] = True
+    want, fell_back = select_shards(probs, threshold)
     if not np.array_equal(selected, want):
         raise ValueError(f"a predicted 'selected' is not p >= {threshold} with the argmax fallback")
     if fallback != fell_back.tolist():

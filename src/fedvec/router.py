@@ -34,13 +34,6 @@ LN_EPS = 1e-5
 # Blocks start at multiples of 128 because BLAS groups rows from a block's
 # start: blocks of a few rows, or starting elsewhere, change logit bits.
 INFER_BLOCK = 128
-# Rows an eval-mode forward piece holds at most, unless one set's block is
-# larger: stacks of small row sets go through several sets per piece.
-INFER_ROWS = 2 * INFER_BLOCK
-
-
-class ModelFormatError(ValueError):
-    """Unreadable, corrupted, or wrong-version model file."""
 
 
 @dataclass
@@ -205,25 +198,15 @@ def _checked_rows(params: RouterParams, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x @ w, one GEMM for rows (b, f) and one per set for a stack
-    (q, b, f), so no GEMM mixes two sets' rows."""
-    if x.ndim == 2:
-        return x @ w
-    out = np.empty(x.shape[:2] + w.shape[1:], dtype=w.dtype)
-    for s in range(x.shape[0]):
-        np.matmul(x[s], w, out=out[s])
-    return out
-
-
 def _forward(
     params: RouterParams, x: np.ndarray, m1: np.ndarray | None, m2: np.ndarray | None
 ) -> ForwardCache:
     """The forward pass of checked rows x (b, f) or stack x (q, b, f); m1/m2
-    are the dropout masks or None. Each affine layer is `_matmul`'s GEMMs;
-    every other step is elementwise or row-wise and runs once over all of x.
+    are the dropout masks or None. Each affine layer is one `@`; every other
+    step is elementwise or row-wise and runs once over all of x.
     """
-    a1 = _matmul(x, params.w1)
+    # numpy's stacked matmul makes one BLAS call per set, so no GEMM mixes two sets' rows.
+    a1 = x @ params.w1
     a1 += params.b1
     xh1, inv1 = _layer_norm(a1)
     n1 = xh1 * params.ln_g1
@@ -232,7 +215,7 @@ def _forward(
     if m1 is not None:
         h1 *= m1
 
-    a2 = _matmul(h1, params.w2)
+    a2 = h1 @ params.w2
     a2 += params.b2
     xh2, inv2 = _layer_norm(a2)
     n2 = xh2 * params.ln_g2
@@ -241,7 +224,7 @@ def _forward(
     if m2 is not None:
         h2 *= m2
 
-    logits = _matmul(h2, params.w3)[..., 0]
+    logits = (h2 @ params.w3)[..., 0]
     logits += params.b3
     return ForwardCache(x, a1, xh1, inv1, n1, m1, h1, a2, xh2, inv2, n2, m2, h2, logits)
 
@@ -249,32 +232,17 @@ def _forward(
 def forward_cache(
     params: RouterParams,
     x: np.ndarray,
-    *,
-    dropout_rate: float = 0.0,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
     masks: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ForwardCache:
     """Full forward pass over standardized rows x (b, f), keeping intermediates.
 
-    In train mode with dropout_rate > 0, masks come from `masks` if given
-    (gradient checking needs them pinned) or are drawn from `rng`. Every
-    array, masks included, has the parameters' dtype.
+    `masks` are the two dropout masks (b, HIDDEN1) and (b, HIDDEN2), or None
+    for no dropout. The other arrays have the parameters' dtype.
     """
     x = _checked_rows(params, x)
     if x.ndim != 2:
         raise ValueError(f"expected (b, {params.w1.shape[0]}) input, got {x.shape}")
-    if not (train and dropout_rate > 0.0):
-        masks = (None, None)
-    elif masks is None:
-        if rng is None:
-            raise ValueError("train-mode dropout needs an rng or explicit masks")
-        b, dtype = x.shape[0], params.w1.dtype
-        masks = (
-            _dropout_mask((b, HIDDEN1), dropout_rate, rng, dtype),
-            _dropout_mask((b, HIDDEN2), dropout_rate, rng, dtype),
-        )
-    return _forward(params, x, *masks)
+    return _forward(params, x, *(masks or (None, None)))
 
 
 def forward(params: RouterParams, x: np.ndarray) -> np.ndarray:
@@ -283,20 +251,15 @@ def forward(params: RouterParams, x: np.ndarray) -> np.ndarray:
 
     Every set's rows go through its GEMMs in blocks of INFER_BLOCK, the last
     block taking the remainder, so a set's logits have the same bits alone
-    or in any stack. The other steps run one piece at a time, a block of
-    rows or the same block of max(1, INFER_ROWS // n) stacked sets, so
-    memory stays bounded whatever the input size.
+    or in any stack. One block of rows of every set runs at a time, so a
+    stack's memory is bounded by its caller's stack size.
     """
     x = _checked_rows(params, x)
     n = x.shape[-2]
     edges = [i * INFER_BLOCK for i in range(max(1, n // INFER_BLOCK))] + [n]
-    pieces = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-    if x.ndim == 3:
-        group = max(1, INFER_ROWS // max(n, 1))
-        pieces = [(slice(s0, s0 + group), rows) for s0 in range(0, len(x), group) for rows in pieces]
     logits = np.empty(x.shape[:-1], params.w1.dtype)
-    for piece in pieces:
-        logits[piece] = _forward(params, x[piece], None, None).logits
+    for lo, hi in zip(edges, edges[1:]):
+        logits[..., lo:hi] = _forward(params, x[..., lo:hi, :], None, None).logits
     return logits
 
 
@@ -510,9 +473,13 @@ def train(
             batch = perm[lo : lo + config.batch_size]
             yb = y_tr[batch]
             lr = cyclic_lr(step, config.lr_min, config.lr_max, half_cycle)
-            cache = forward_cache(
-                params, x_tr[batch], dropout_rate=config.dropout_rate, train=True, rng=dropout_rng
-            )
+            masks = None
+            if config.dropout_rate > 0.0:  # m1, then m2, from the one dropout stream
+                masks = tuple(
+                    _dropout_mask((len(batch), h), config.dropout_rate, dropout_rng, flat.dtype)
+                    for h in (HIDDEN1, HIDDEN2)
+                )
+            cache = forward_cache(params, x_tr[batch], masks)
             loss_sum += bce_with_logits(cache.logits, yb, pos_weight) * len(batch)
             backward(params, cache, yb, pos_weight, out=grads)
             velocity *= config.momentum
@@ -585,28 +552,30 @@ def load_model(path) -> RouterModel:
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _MODEL_HEADER.size + 4:
-        raise ModelFormatError(f"{path}: truncated model file")
+        raise ValueError(f"{path}: truncated model file")
     magic, version, input_dim, d, h1, h2, dropout, threshold, seed = _MODEL_HEADER.unpack_from(raw)
     if magic != MODEL_MAGIC:
-        raise ModelFormatError(f"{path}: bad magic {magic!r}, not a model file")
+        raise ValueError(f"{path}: bad magic {magic!r}, not a model file")
     if version != MODEL_VERSION:
-        raise ModelFormatError(f"{path}: unsupported format version {version}")
+        raise ValueError(f"{path}: unsupported format version {version}")
     if (h1, h2) != (HIDDEN1, HIDDEN2):
-        raise ModelFormatError(f"{path}: unexpected layer widths {(h1, h2)}")
+        raise ValueError(f"{path}: unexpected layer widths {(h1, h2)}")
     if input_dim != feature_dim(d):
-        raise ModelFormatError(f"{path}: input_dim {input_dim} != 2 * d + 3 for stored d {d}")
+        raise ValueError(f"{path}: input_dim {input_dim} != 2 * d + 3 for stored d {d}")
 
     (stored_crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
     if zlib.crc32(raw[:-4]) != stored_crc:
-        raise ModelFormatError(f"{path}: checksum mismatch, file is corrupted")
+        raise ValueError(f"{path}: checksum mismatch, file is corrupted")
 
     n_params = sum(math.prod(shape) for shape in _param_shapes(input_dim).values())
     need = (2 * input_dim + n_params) * 8
     body = raw[_MODEL_HEADER.size:-4]
     if len(body) != need:
-        raise ModelFormatError(f"{path}: expected {need} array bytes, got {len(body)}")
+        raise ValueError(f"{path}: expected {need} array bytes, got {len(body)}")
 
     flat = np.frombuffer(body, "<f8").astype(np.float64)
+    if not (np.isfinite(flat).all() and math.isfinite(dropout) and math.isfinite(threshold)):
+        raise ValueError(f"{path}: non-finite value in the model")
     scaler = ScalerParams(mean=flat[:input_dim], std=flat[input_dim : 2 * input_dim])
     params = _flat_views(flat[2 * input_dim :], input_dim)
     return RouterModel(

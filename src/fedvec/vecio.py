@@ -20,10 +20,6 @@ MAGIC = b"FVR1"
 _HEADER = struct.Struct("<4sIQ")
 
 
-class VectorFileError(ValueError):
-    """Malformed or truncated vector file."""
-
-
 def vector_file_bytes(ids: np.ndarray, vectors: np.ndarray) -> bytes:
     """Serialize (ids, vectors) to the FVR1 record format."""
     ids = np.asarray(ids)
@@ -43,22 +39,22 @@ def read_vectors(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read an FVR1 file; returns (ids int64, vectors float64)."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
-        raise VectorFileError(f"{path}: truncated header")
+        raise ValueError(f"{path}: truncated header")
     magic, dim, count = _HEADER.unpack_from(raw)
     if magic != MAGIC:
-        raise VectorFileError(f"{path}: bad magic {magic!r}")
+        raise ValueError(f"{path}: bad magic {magic!r}")
     if dim == 0:
-        raise VectorFileError(f"{path}: zero dimension")
+        raise ValueError(f"{path}: zero dimension")
     body = raw[_HEADER.size:]
     dtype = _record_dtype(dim)
     if len(body) != count * dtype.itemsize:
-        raise VectorFileError(
+        raise ValueError(
             f"{path}: expected {count} records ({count * dtype.itemsize} bytes), "
             f"got {len(body)} bytes"
         )
     rec = np.frombuffer(body, dtype=dtype)
     if count and rec["id"].max() > np.iinfo(np.int64).max:
-        raise VectorFileError(f"{path}: vector id {rec['id'].max()} does not fit in int64")
+        raise ValueError(f"{path}: vector id {rec['id'].max()} does not fit in int64")
     return rec["id"].astype(np.int64), rec["vec"].astype(np.float64)
 
 
@@ -78,16 +74,25 @@ def manifest_bytes(dimension: int, shard_paths: dict[int, str]) -> bytes:
 
 
 def read_manifest(path: str | Path) -> tuple[int, list[tuple[int, Path]]]:
-    """Read a manifest; returns (dimension, [(shard_id, resolved_path), ...])."""
+    """Read a manifest; returns (dimension, [(shard_id, resolved_path), ...]).
+    The dimension must be a positive JSON integer, each shard_id a JSON
+    integer and each path a string."""
     path = Path(path)
     doc = json.loads(path.read_text())
     try:
-        dim = int(doc["dimension"])
-        entries = [(int(s["shard_id"]), path.parent / s["path"]) for s in doc["shards"]]
+        dim = doc["dimension"]
+        entries = [(s["shard_id"], s["path"]) for s in doc["shards"]]
     except (KeyError, TypeError) as exc:
-        raise VectorFileError(f"{path}: malformed manifest: {exc}") from exc
+        raise ValueError(f"{path}: malformed manifest: {exc}") from exc
+    if type(dim) is not int or dim < 1:
+        raise ValueError(f"{path}: dimension must be a positive integer, got {json.dumps(dim)}")
+    for sid, rel in entries:
+        if type(sid) is not int:
+            raise ValueError(f"{path}: shard_id must be an integer, got {json.dumps(sid)}")
+        if type(rel) is not str:
+            raise ValueError(f"{path}: shard {sid}'s path must be a string, got {json.dumps(rel)}")
     if not entries:
-        raise VectorFileError(f"{path}: manifest lists no shards")
+        raise ValueError(f"{path}: manifest lists no shards")
     if len({sid for sid, _ in entries}) != len(entries):
-        raise VectorFileError(f"{path}: duplicate shard ids in manifest")
-    return dim, entries
+        raise ValueError(f"{path}: duplicate shard ids in manifest")
+    return dim, [(sid, path.parent / rel) for sid, rel in entries]

@@ -187,9 +187,7 @@ def _probe_fd(params, name, flat_idx, h, x, y, pos_weight, rate, masks):
     for sign in (1.0, -1.0):
         probe = params.copy()
         getattr(probe, name).flat[flat_idx] += sign * h
-        cache = forward_cache(
-            probe, x, dropout_rate=rate, train=masks is not None, masks=masks
-        )
+        cache = forward_cache(probe, x, masks=masks)
         sides.append(bce_with_logits(cache.logits, y, pos_weight))
         patterns.append((cache.n1 > 0.0, cache.n2 > 0.0))
     smooth = all(np.array_equal(a, b) for a, b in zip(*patterns))
@@ -219,9 +217,7 @@ def test_criterion_3_gradients_match_finite_differences(criterion):
                 _dropout_mask((16, 256), rate, rng),
                 _dropout_mask((16, 128), rate, rng),
             )
-        cache = forward_cache(
-            params, x, dropout_rate=rate, train=masks is not None, masks=masks
-        )
+        cache = forward_cache(params, x, masks=masks)
         grads = backward(params, cache, y, pos_weight)
 
         pick = np.random.default_rng(2000 + batch)

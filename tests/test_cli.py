@@ -224,6 +224,12 @@ class TestFailures:
             ({"synthetic": {"points_per_cluster": [1, 2, 3]}}, "points_per_cluster must be"),
             ({"split": {"train_frac": None}}, "bad 'split' config block: train_frac"),
             ({"split": {"seed": "1"}}, "bad 'split' config block: seed must be int"),
+            # Python's json reads Infinity and NaN; no float field takes them.
+            ({"train": {"lr_max": float("inf")}}, "lr_max must be float, got Infinity"),
+            ({"train": {"pos_weight": float("nan")}}, "pos_weight must be float | None, got NaN"),
+            ({"split": {"val_frac": float("-inf")}}, "val_frac must be float, got -Infinity"),
+            ({"synthetic": {"center_radius": float("nan")}}, "center_radius must be float, got NaN"),
+            ({"threshold": float("nan")}, "bad config: threshold must be float, got NaN"),
         ]
         for doc, message in cases:
             (tmp_path / "cfg.json").write_text(json.dumps(doc))
@@ -261,10 +267,21 @@ class TestFailures:
     def test_corrupt_manifest(self, tmp_path, capsys):
         out = tmp_path / "run"
         out.mkdir()
-        (out / "manifest.json").write_text("{not json")
         (tmp_path / "cfg.json").write_text(json.dumps({"out": "run"}))
-        assert run(tmp_path, "--config", "cfg.json", "import") == 2
-        assert "error:" in capsys.readouterr().err
+        (out / "shard.fvr").write_bytes(vector_file_bytes(np.arange(3), np.ones((3, 4))))
+        shard = {"shard_id": 2, "path": "shard.fvr"}
+        for text in (
+            "{not json",
+            # int() would read these as shard 2 of dimension 4
+            json.dumps({"dimension": 4.9, "shards": [shard]}),
+            json.dumps({"dimension": 4, "shards": [{**shard, "shard_id": 2.7}]}),
+            json.dumps({"dimension": 4, "shards": [{**shard, "shard_id": True}]}),
+        ):
+            (out / "manifest.json").write_text(text)
+            assert run(tmp_path, "--config", "cfg.json", "import") == 2, text
+            assert "error:" in capsys.readouterr().err, text
+        (out / "manifest.json").write_text(json.dumps({"dimension": 4, "shards": [shard]}))
+        assert run(tmp_path, "--config", "cfg.json", "import") == 0
 
     def test_eval_without_model_leaves_no_partial_output(self, tmp_path):
         (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))

@@ -8,7 +8,7 @@ import pytest
 from fedvec.datasets import SplitSpec
 from fedvec.federation import (
     FederatedResult,
-    decision_from_probabilities,
+    RoutingDecision,
     federated_search,
     generate_labels,
     merge_hits,
@@ -18,6 +18,7 @@ from fedvec.federation import (
     relevant_shards,
     result_from_hit_lists,
     route,
+    select_shards,
 )
 from fedvec.features import assemble_features, feature_rows
 from fedvec.router import TrainConfig, predict_batch, train
@@ -46,22 +47,50 @@ def brute_force_top_k(shards, query, k):
     return rows[:k]
 
 
+def decision(query_id, probabilities, threshold=0.5):
+    """A RoutingDecision made by the routing rule, as `route` makes it."""
+    selected, fallback = select_shards(probabilities[None], threshold)
+    return RoutingDecision(query_id, probabilities, selected[0], bool(fallback[0]))
+
+
 class TestDecisions:
     def test_thresholding(self):
-        d = decision_from_probabilities(7, np.array([0.2, 0.9, 0.5]), 0.5)
-        assert d.query_id == 7
-        np.testing.assert_array_equal(d.selected, [False, True, True])
-        assert not d.fallback_used
+        selected, fallback = select_shards(np.array([[0.2, 0.9, 0.5]]), 0.5)
+        np.testing.assert_array_equal(selected, [[False, True, True]])
+        np.testing.assert_array_equal(fallback, [False])
 
     def test_fallback_takes_single_argmax(self):
-        d = decision_from_probabilities(1, np.array([0.3, 0.49, 0.1]), 0.5)
-        np.testing.assert_array_equal(d.selected, [False, True, False])
-        assert d.fallback_used
+        selected, fallback = select_shards(np.array([[0.3, 0.49, 0.1]]), 0.5)
+        np.testing.assert_array_equal(selected, [[False, True, False]])
+        np.testing.assert_array_equal(fallback, [True])
 
     def test_fallback_tie_goes_to_lowest_index(self):
-        d = decision_from_probabilities(1, np.array([0.2, 0.2, 0.2]), 0.5)
-        np.testing.assert_array_equal(d.selected, [True, False, False])
-        assert d.fallback_used
+        selected, fallback = select_shards(np.array([[0.2, 0.2, 0.2]]), 0.5)
+        np.testing.assert_array_equal(selected, [[True, False, False]])
+        np.testing.assert_array_equal(fallback, [True])
+
+    def test_rows_select_independently(self):
+        """Fallback and thresholded rows in one matrix: each row gets the
+        selection it gets alone. Row 2 ties at its top behind a lower
+        value; row 3 sits exactly at the threshold, which selects."""
+        probs = np.array([
+            [0.1, 0.6, 0.7, 0.2],
+            [0.1, 0.3, 0.2, 0.05],
+            [0.2, 0.4, 0.1, 0.4],
+            [0.5, 0.4999, 0.5, 0.0],
+            [0.9, 0.8, 0.95, 0.7],
+        ])
+        selected, fallback = select_shards(probs, 0.5)
+        np.testing.assert_array_equal(selected, [
+            [False, True, True, False],
+            [False, True, False, False],
+            [False, True, False, False],
+            [True, False, True, False],
+            [True, True, True, True],
+        ])
+        np.testing.assert_array_equal(fallback, [False, True, True, False, False])
+        for row, want in zip(probs, selected):
+            np.testing.assert_array_equal(select_shards(row[None], 0.5)[0][0], want)
 
     def test_oracle_decision_mirrors_labels(self):
         d = oracle_decision(4, np.array([0, 1, 1]), 3)
@@ -76,7 +105,8 @@ class TestDecisions:
 
     def test_route_probabilities_are_predict_batch_bits(self):
         """Serving's one-query route gives the bits of predict_batch on the
-        query's feature rows, built alone or in eval's block of queries."""
+        query's feature rows, built alone or in eval's block of queries, and
+        selects what select_shards selects at the model's threshold."""
         shards = make_shards(n_shards=6, per_shard=20, dim=4, seed=29)
         rng = np.random.default_rng(31)
         queries = rng.standard_normal((40, 4))
@@ -86,9 +116,13 @@ class TestDecisions:
         stats = [s.stats for s in shards]
         block = feature_rows(queries, stats)
         for qid, q in enumerate(queries):
-            got = route(model, qid, q, stats).probabilities.tobytes()
+            d = route(model, qid, q, stats)
+            got = d.probabilities.tobytes()
             assert got == predict_batch(model, feature_rows(q[None], stats)[0]).tobytes()
             assert got == predict_batch(model, block[qid]).tobytes()
+            selected, fallback = select_shards(d.probabilities[None], model.threshold)
+            np.testing.assert_array_equal(d.selected, selected[0])
+            assert d.fallback_used is bool(fallback[0])
 
 
 class TestMerge:
@@ -129,8 +163,7 @@ class TestFederatedSearch:
     def test_subset_selection_and_byte_accounting(self):
         shards = make_shards(per_shard=4, dim=3)
         query = np.zeros(3)
-        decision = decision_from_probabilities(3, np.array([0.9, 0.1, 0.9]), 0.5)
-        result = federated_search(decision, shards, query, k=10)
+        result = federated_search(decision(3, np.array([0.9, 0.1, 0.9])), shards, query, k=10)
         assert result.shards_queried == 2
         assert {h.shard_id for h in result.hits} == {0, 2}
         # k exceeds both shard sizes, so every member comes back
@@ -140,9 +173,8 @@ class TestFederatedSearch:
 
     def test_misaligned_decision_rejected(self):
         shards = make_shards(n_shards=3)
-        decision = decision_from_probabilities(0, np.array([0.9, 0.9]), 0.5)
         with pytest.raises(ValueError, match="align"):
-            federated_search(decision, shards, np.zeros(3), k=2)
+            federated_search(decision(0, np.array([0.9, 0.9])), shards, np.zeros(3), k=2)
 
     def test_oracle_routing_reproduces_naive_exactly(self):
         """Selecting exactly the shards that contributed to the global top-k

@@ -18,6 +18,7 @@ from fedvec.router import (
     LN_EPS,
     RouterModel,
     RouterParams,
+    _dropout_mask,
     bce_with_logits,
     forward,
     forward_cache,
@@ -59,23 +60,17 @@ class TestForward:
         x = rng.standard_normal((8, 11))
         np.testing.assert_array_equal(forward(params, x), forward(params, x))
 
-    def test_dropout_identity_in_eval(self):
-        """Eval ignores dropout_rate entirely (inverted dropout)."""
-        rng = np.random.default_rng(42)
-        params = init_params(9, rng)
-        x = rng.standard_normal((5, 9))
-        np.testing.assert_array_equal(
-            forward_cache(params, x, dropout_rate=0.9).logits, forward(params, x)
-        )
-
     def test_dropout_deterministic_under_seed(self):
         rng = np.random.default_rng(42)
         params = init_params(9, rng)
         x = rng.standard_normal((5, 9))
-        a, b, c = (
-            forward_cache(params, x, dropout_rate=0.5, train=True, rng=substream(s, "dropout")).logits
-            for s in (3, 3, 4)
-        )
+
+        def logits(seed):
+            stream = substream(seed, "dropout")
+            masks = tuple(_dropout_mask((5, h), 0.5, stream) for h in (HIDDEN1, HIDDEN2))
+            return forward_cache(params, x, masks).logits
+
+        a, b, c = (logits(s) for s in (3, 3, 4))
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -109,11 +104,6 @@ class TestForward:
             assert probs.shape == (7, n)
             for s in range(7):
                 assert probs[s].tobytes() == predict_batch(model, stack[s]).tobytes(), (n, s)
-
-    def test_train_dropout_requires_rng(self):
-        params = init_params(5, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="rng"):
-            forward_cache(params, np.zeros((2, 5)), dropout_rate=0.5, train=True)
 
     def test_layer_norm_normalizes_pre_affine(self):
         """xhat rows must have mean ~0 and population variance exactly ~1.

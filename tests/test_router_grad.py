@@ -25,9 +25,7 @@ FD_STEP = 1e-4
 
 
 def loss_at(params, x, y, pos_weight, masks):
-    train = masks is not None
-    rate = 0.4 if train else 0.0
-    cache = forward_cache(params, x, dropout_rate=rate, train=train, masks=masks)
+    cache = forward_cache(params, x, masks)
     return bce_with_logits(cache.logits, y, pos_weight)
 
 
@@ -50,12 +48,7 @@ def rel_err(a, b):
 
 
 def max_rel_err(params, x, y, pos_weight, masks, probes_per_array, seed, h=FD_STEP):
-    cache = forward_cache(
-        params, x,
-        dropout_rate=0.4 if masks is not None else 0.0,
-        train=masks is not None,
-        masks=masks,
-    )
+    cache = forward_cache(params, x, masks)
     grads = backward(params, cache, y, pos_weight)
     pick = np.random.default_rng(seed)
     worst = 0.0

@@ -5,20 +5,23 @@ import struct
 import tracemalloc
 import zlib
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fedvec.datasets import SplitSpec, split_by_query
-from fedvec.features import fit_scaler, transform
+from fedvec.features import ScalerParams, fit_scaler, transform
 from fedvec.rng import substream
 from fedvec.router import (
     _PARAM_ORDER,
+    HIDDEN1,
+    HIDDEN2,
     LN_EPS,
     EpochStats,
-    ModelFormatError,
     RouterParams,
     TrainConfig,
+    _dropout_mask,
     _sigmoid,
     backward,
     bce_with_logits,
@@ -187,9 +190,11 @@ def reference_train(features, labels, query_ids, split, config):
         for lo in range(0, len(x_tr), config.batch_size):
             batch = perm[lo : lo + config.batch_size]
             lr = cyclic_lr(step, config.lr_min, config.lr_max, half_cycle)
-            cache = forward_cache(
-                params, x_tr[batch], dropout_rate=config.dropout_rate, train=True, rng=dropout_rng
+            masks = tuple(
+                _dropout_mask((len(batch), h), config.dropout_rate, dropout_rng, np.float32)
+                for h in (HIDDEN1, HIDDEN2)
             )
+            cache = forward_cache(params, x_tr[batch], masks)
             assert cache.m1.dtype == np.float32
             floored += int(np.sum(cache.inv1 == floor))
             loss_sum += bce_with_logits(cache.logits, y_tr[batch], pos_weight) * len(batch)
@@ -307,7 +312,7 @@ class TestModelFile:
         raw[:4] = b"NOPE"
         path = tmp_path / "bad.rrm"
         path.write_bytes(raw)
-        with pytest.raises(ModelFormatError, match="bad magic"):
+        with pytest.raises(ValueError, match="bad magic"):
             load_model(path)
 
     def test_unsupported_version(self, toy_result, tmp_path):
@@ -315,7 +320,7 @@ class TestModelFile:
         raw[4:8] = struct.pack("<I", 2)
         path = tmp_path / "v2.rrm"
         path.write_bytes(raw)
-        with pytest.raises(ModelFormatError, match="version"):
+        with pytest.raises(ValueError, match="version"):
             load_model(path)
 
     def test_stored_d_must_match_input_dim(self, toy_result, tmp_path):
@@ -324,7 +329,7 @@ class TestModelFile:
         raw[-4:] = struct.pack("<I", zlib.crc32(bytes(raw[:-4])))
         path = tmp_path / "d.rrm"
         path.write_bytes(raw)
-        with pytest.raises(ModelFormatError, match="stored d 99"):
+        with pytest.raises(ValueError, match="stored d 99"):
             load_model(path)
 
     def test_flipped_payload_byte_fails_checksum(self, toy_result, tmp_path):
@@ -332,7 +337,7 @@ class TestModelFile:
         raw[len(raw) // 2] ^= 0xFF
         path = tmp_path / "flip.rrm"
         path.write_bytes(raw)
-        with pytest.raises(ModelFormatError, match="checksum mismatch"):
+        with pytest.raises(ValueError, match="checksum mismatch"):
             load_model(path)
 
     def test_truncation(self, toy_result, tmp_path):
@@ -340,5 +345,24 @@ class TestModelFile:
         for cut in (10, len(raw) // 2, len(raw) - 1):
             path = tmp_path / f"cut{cut}.rrm"
             path.write_bytes(raw[:cut])
-            with pytest.raises(ModelFormatError):
+            with pytest.raises(ValueError):
                 load_model(path)
+
+    def test_non_finite_values_rejected(self, toy_result, tmp_path):
+        """A checksummed file whose arrays or threshold hold inf or NaN is no
+        model: route would turn NaN probabilities into argmax fallbacks."""
+        model = toy_result.model
+        cases = {"w1": (0, 0, np.inf), "b3": (0, np.nan), "mean": (1, -np.inf)}
+        for name, (*index, value) in cases.items():
+            params = model.params.copy()
+            scaler = ScalerParams(model.scaler.mean.copy(), model.scaler.std.copy())
+            arr = scaler.mean if name == "mean" else getattr(params, name)
+            arr[tuple(index)] = value
+            path = tmp_path / f"{name}.rrm"
+            path.write_bytes(serialize_model(replace(model, params=params, scaler=scaler)))
+            with pytest.raises(ValueError, match="non-finite"):
+                load_model(path)
+        path = tmp_path / "threshold.rrm"
+        path.write_bytes(serialize_model(replace(model, threshold=float("nan"))))
+        with pytest.raises(ValueError, match="non-finite"):
+            load_model(path)

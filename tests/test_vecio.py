@@ -1,10 +1,12 @@
 """Wire-format round trips and corruption handling."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
 from fedvec.vecio import (
-    VectorFileError,
     manifest_bytes,
     read_manifest,
     read_vectors,
@@ -36,7 +38,7 @@ def test_bad_magic(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[0] ^= 0xFF
     path.write_bytes(bytes(raw))
-    with pytest.raises(VectorFileError, match="magic"):
+    with pytest.raises(ValueError, match="magic"):
         read_vectors(path)
 
 
@@ -45,14 +47,14 @@ def test_truncated_body(tmp_path):
     path.write_bytes(vector_file_bytes(np.array([1, 2]), np.ones((2, 3))))
     raw = path.read_bytes()
     path.write_bytes(raw[:-4])
-    with pytest.raises(VectorFileError, match="bytes"):
+    with pytest.raises(ValueError, match="bytes"):
         read_vectors(path)
 
 
 def test_truncated_header(tmp_path):
     path = tmp_path / "v.fvr"
     path.write_bytes(b"FVR1\x02")
-    with pytest.raises(VectorFileError, match="truncated"):
+    with pytest.raises(ValueError, match="truncated"):
         read_vectors(path)
 
 
@@ -75,21 +77,21 @@ def test_manifest_duplicate_shard_ids(tmp_path):
     path.write_text(
         '{"dimension": 4, "shards": [{"shard_id": 1, "path": "a"}, {"shard_id": 1, "path": "b"}]}'
     )
-    with pytest.raises(VectorFileError, match="duplicate"):
+    with pytest.raises(ValueError, match="duplicate"):
         read_manifest(path)
 
 
 def test_manifest_missing_keys(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_text('{"shards": []}')
-    with pytest.raises(VectorFileError, match="malformed"):
+    with pytest.raises(ValueError, match="malformed"):
         read_manifest(path)
 
 
 def test_id_above_int64_range(tmp_path):
     path = tmp_path / "v.fvr"
     path.write_bytes(vector_file_bytes(np.array([7, 2**63 + 5], dtype=np.uint64), np.ones((2, 3))))
-    with pytest.raises(VectorFileError, match="does not fit in int64"):
+    with pytest.raises(ValueError, match="does not fit in int64"):
         read_vectors(path)
 
 
@@ -101,5 +103,32 @@ def test_negative_ids_rejected():
 def test_manifest_without_shards(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_text('{"dimension": 4, "shards": []}')
-    with pytest.raises(VectorFileError, match="no shards"):
+    with pytest.raises(ValueError, match="no shards"):
+        read_manifest(path)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("dimension", 4.9, "dimension must be a positive integer, got 4.9"),
+        ("dimension", True, "dimension must be a positive integer, got true"),
+        ("dimension", "4", 'dimension must be a positive integer, got "4"'),
+        ("dimension", 0, "dimension must be a positive integer, got 0"),
+        ("dimension", -3, "dimension must be a positive integer, got -3"),
+        ("shard_id", 2.7, "shard_id must be an integer, got 2.7"),
+        ("shard_id", True, "shard_id must be an integer, got true"),
+        ("shard_id", "1", 'shard_id must be an integer, got "1"'),
+        ("path", 5, "path must be a string, got 5"),
+        ("path", None, "path must be a string, got null"),
+    ],
+)
+def test_manifest_field_types(tmp_path, field, value, message):
+    """dimension and shard_id must be JSON integers (no float, bool or
+    string coerced by int()), the dimension positive, and each path a string."""
+    shard = {"shard_id": 0, "path": "a"}
+    doc = {"dimension": 4, "shards": [shard]}
+    (doc if field == "dimension" else shard)[field] = value
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(message)):
         read_manifest(path)
