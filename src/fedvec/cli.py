@@ -1,9 +1,10 @@
 """Command-line pipeline: synth -> import -> label -> train -> eval -> report.
 
 Configuration comes from a JSON file (--config); --k/--threshold/--seed/--out
-override it. One top-level seed drives every stage through named substreams,
-so any command rerun with the same config+seed writes identical bytes (traces
-and latency.json carry wall-clock fields and are the documented exception).
+override it. The top-level seed is the only one: it is passed to every stage
+that draws numbers, which derives named substreams from it, so any command
+rerun with the same config+seed writes identical bytes (traces and
+latency.json carry wall-clock fields and are the documented exception).
 Commands stage all output in memory and write nothing until they succeed.
 """
 
@@ -124,7 +125,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
                     f"got {json.dumps(block[f.name])}"
                 )
         try:
-            return cls(**{"seed": seed, **block})
+            return cls(**block)
         except TypeError as exc:
             raise ValueError(f"bad '{key}' config block: {exc}") from exc
 
@@ -177,7 +178,7 @@ def _read_queries(path: Path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_synth(cfg: RunConfig) -> None:
-    data = generate_synthetic(cfg.synthetic)
+    data = generate_synthetic(cfg.synthetic, cfg.seed)
     shards = kmeans_shard(data.corpus, cfg.synthetic.n_clusters, cfg.seed)
 
     files: dict[Path, bytes] = {}
@@ -215,19 +216,17 @@ def cmd_import(cfg: RunConfig, manifest: Path | None) -> None:
         )
 
 
-def _hits_dtype(n_shards: int) -> np.dtype:
-    """hits.npy's record: a query id and its naive top-k hit count per shard,
-    in manifest order."""
-    return np.dtype([("query_id", "<i8"), ("hits", "<i8", (n_shards,))])
+def _hits_dtype(shards: list) -> np.dtype:
+    """hits.npy's record: a query id, then its naive top-k hit count in each
+    shard, one field per shard named by its id, in manifest order."""
+    return np.dtype([("query_id", "<i8")] + [(f"shard_{s.shard_id}", "<i8") for s in shards])
 
 
 def cmd_label(cfg: RunConfig) -> None:
     shards = import_shards(cfg.manifest)
     qids, qvecs = _read_queries(cfg.queries_train)
-    table, counts = generate_labels(shards, list(zip(qids.tolist(), qvecs)), cfg.k)
-    hits = np.empty(len(qids), dtype=_hits_dtype(len(shards)))
-    hits["query_id"] = qids
-    hits["hits"] = counts
+    table, counts = generate_labels(shards, qids, qvecs, cfg.k)
+    hits = np.column_stack([qids, counts]).astype("<i8").view(_hits_dtype(shards)).ravel()
 
     _write_all({cfg.labels_path: table, cfg.hits_path: hits})
 
@@ -242,33 +241,23 @@ def cmd_label(cfg: RunConfig) -> None:
 
 def _read_hits(cfg: RunConfig, qids: np.ndarray, shards: list) -> np.ndarray:
     """label's (Q, n_shards) hit counts for `qids`, the queries_train ids in
-    file order, checked: the table must be hits.npy's format for this many
-    shards, have its columns in the manifest's shard order, list exactly
-    these queries, and split each query's top-k, so no count is negative and
-    each row sums to min(k, total rows)."""
+    file order, checked: the records must be hits.npy's for the manifest's
+    shards in its order, list exactly these queries, and split each query's
+    top-k, so no count is negative and each row sums to min(k, total rows)."""
     path = cfg.hits_path
     try:
         hits = np.load(path)
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read hit counts {path}: {exc}; run label first") from exc
-    want = _hits_dtype(len(shards))
+    want = _hits_dtype(shards)
     if hits.dtype != want:
-        raise ValueError(f"{path}: expected records {want.descr}, got {hits.dtype.descr}")
-    # hits.npy's columns follow the shard order label ran with, which the
-    # first query's rows of labels.npy (written in the same step) name. Only
-    # those rows are read from the mapped file.
-    try:
-        labelled = np.load(cfg.labels_path, mmap_mode="r")["shard_id"][: len(shards)].tolist()
-    except (OSError, ValueError, IndexError) as exc:
-        raise ValueError(f"cannot read shard order from {cfg.labels_path}: {exc}") from exc
-    manifest = [s.shard_id for s in shards]
-    if labelled != manifest:
         raise ValueError(
-            f"{path}: labelled over shards {labelled}, the manifest lists {manifest}; rerun label"
+            f"{path}: expected records {want.descr}, got {hits.dtype.descr}; rerun label"
         )
     if not np.array_equal(hits["query_id"], qids):
         raise ValueError(f"{path}: query ids differ from {cfg.queries_train}; rerun label")
-    counts = hits["hits"]
+    # The fields are packed <i8, so the records view as a (Q, 1 + n_shards) matrix.
+    counts = hits.view("<i8").reshape(len(qids), -1)[:, 1:]
     top = min(cfg.k, sum(s.stats.count for s in shards))
     if (counts < 0).any() or (counts.sum(axis=1) != top).any():
         raise ValueError(
@@ -286,7 +275,9 @@ def cmd_train(cfg: RunConfig) -> None:
     missing = {"query_id", "label", "features"} - set(table.dtype.names or ())
     if missing:
         raise ValueError(f"{cfg.labels_path}: not a labels table, missing fields {sorted(missing)}")
-    result = train(table["features"], table["label"], table["query_id"], cfg.split, cfg.train)
+    result = train(
+        table["features"], table["label"], table["query_id"], cfg.split, cfg.train, cfg.seed
+    )
     # The stored threshold is the one route() selects with, so serving
     # agrees with eval, which selects with the config's.
     model = replace(result.model, threshold=cfg.threshold)
@@ -313,7 +304,7 @@ def cmd_eval(cfg: RunConfig) -> None:
     shards = import_shards(cfg.manifest)
     model = load_model(cfg.model_path)
     qids, qvecs = _read_queries(cfg.queries_train)
-    _, _, test_q = split_by_query(qids, cfg.split)
+    _, _, test_q = split_by_query(qids, cfg.split, cfg.seed)
     keep = np.isin(qids, sorted(test_q))
     if not keep.any():
         raise ValueError("test split is empty")

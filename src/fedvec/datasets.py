@@ -29,7 +29,6 @@ class SyntheticSpec:
     center_radius: float = 6.0
     n_train_queries: int = 2000
     n_eval_queries: int = 500
-    seed: int = 0
 
     def __post_init__(self) -> None:
         # JSON configs give the range as a list.
@@ -57,10 +56,10 @@ class SyntheticData:
     eval_query_cluster: np.ndarray
 
 
-def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
-    """Deterministic in its SyntheticSpec: same field values, same bytes out."""
+def generate_synthetic(spec: SyntheticSpec, seed: int) -> SyntheticData:
+    """Deterministic in (spec, seed): same field values, same bytes out."""
     spec.validate()
-    rng = substream(spec.seed, "data")
+    rng = substream(seed, "data")
 
     g = rng.standard_normal((spec.n_clusters, spec.dim))
     centers = g / np.linalg.norm(g, axis=1, keepdims=True) * spec.center_radius
@@ -76,7 +75,7 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticData:
     corpus = np.concatenate(parts)
     corpus_cluster = np.repeat(np.arange(spec.n_clusters), sizes)
 
-    qrng = substream(spec.seed, "queries")
+    qrng = substream(seed, "queries")
 
     def sample_queries(n: int) -> tuple[np.ndarray, np.ndarray]:
         src = qrng.integers(0, corpus.shape[0], size=n)
@@ -180,7 +179,6 @@ class SplitSpec:
     train_frac: float = 0.30
     val_frac: float = 0.10
     test_frac: float = 0.60
-    seed: int = 0
 
     def validate(self) -> None:
         fracs = (self.train_frac, self.val_frac, self.test_frac)
@@ -189,9 +187,9 @@ class SplitSpec:
 
 
 def split_by_query(
-    query_ids: np.ndarray, spec: SplitSpec
+    query_ids: np.ndarray, spec: SplitSpec, seed: int
 ) -> tuple[set[int], set[int], set[int]]:
-    """Disjoint train/val/test query-id sets, deterministic under spec.seed.
+    """Disjoint train/val/test query-id sets, deterministic under seed.
 
     Every (query, shard) row for one question lands in the same partition, so
     no question leaks across splits. Fraction rounding lands within +-1 query.
@@ -201,7 +199,7 @@ def split_by_query(
     q = unique.shape[0]
     if q < 10:
         raise ValueError("need at least 10 distinct query ids to split")
-    perm = substream(spec.seed, "split").permutation(q)
+    perm = substream(seed, "split").permutation(q)
     shuffled = unique[perm]
     n_train = int(round(spec.train_frac * q))
     n_val = min(int(round(spec.val_frac * q)), q - n_train)

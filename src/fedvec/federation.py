@@ -198,10 +198,12 @@ def naive_hit_counts(
 
 def generate_labels(
     shards: Sequence[ShardIndex],
-    queries: Sequence[tuple[int, np.ndarray]],
+    query_ids: np.ndarray,
+    queries: np.ndarray,
     k: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The labels table and the hit counts it is labelled from.
+    """The labels table and the hit counts it is labelled from, for the (Q,)
+    ids and (Q, d) vectors of Q queries.
 
     The table has one (query, shard) row per pair, query-major, so Q queries
     over n shards yield exactly Q*n rows. A row's label is 1 iff the shard
@@ -210,10 +212,7 @@ def generate_labels(
     """
     if not shards:
         raise ValueError("no shards to label")
-    qids = [qid for qid, _ in queries]
-    vecs = np.array([vec for _, vec in queries], dtype=np.float64)
-    if not queries:
-        vecs = vecs.reshape(0, shards[0].dim)
+    vecs = np.asarray(queries, dtype=np.float64)
     counts = naive_hit_counts(shards, vecs, k)
     n_shards, width = len(shards), feature_dim(shards[0].dim)
     dtype = [
@@ -223,15 +222,15 @@ def generate_labels(
         ("features", "<f8", (width,)),
     ]
     table = np.zeros(counts.size, dtype=dtype)
-    table["query_id"] = np.repeat(qids, n_shards)
-    table["shard_id"] = np.tile([s.shard_id for s in shards], len(qids))
+    table["query_id"] = np.repeat(query_ids, n_shards)
+    table["shard_id"] = np.tile([s.shard_id for s in shards], len(query_ids))
     table["label"] = (counts > 0).ravel()
     # Feature rows go in by query blocks of about SCREEN_BUDGET values; a
     # query's rows have the same bits whatever block they are built in.
     stats = [s.stats for s in shards]
     block = max(1, SCREEN_BUDGET // (n_shards * width))
     features = table["features"]
-    for lo in range(0, len(qids), block):
-        hi = min(lo + block, len(qids))
+    for lo in range(0, len(query_ids), block):
+        hi = min(lo + block, len(query_ids))
         features[lo * n_shards : hi * n_shards] = feature_rows(vecs[lo:hi], stats).reshape(-1, width)
     return table, counts

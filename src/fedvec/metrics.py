@@ -43,15 +43,10 @@ def retrieval_recall(routed: FederatedResult, truth: FederatedResult) -> float:
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned the mean rank of their group."""
-    order = np.argsort(x, kind="mergesort")
-    sx = x[order]
-    ranks = np.empty(x.shape[0])
-    start = 0
-    for i in range(1, x.shape[0] + 1):
-        if i == x.shape[0] or sx[i] != sx[start]:
-            ranks[order[start:i]] = (start + 1 + i) / 2.0
-            start = i
-    return ranks
+    _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
+    end = np.cumsum(counts)  # a group of ties holds ranks end - count + 1 .. end
+    # np.unique's inverse is not 1-D on every numpy version.
+    return ((end - counts + 1 + end) / 2.0)[group.reshape(-1)]
 
 
 def auc_score(probabilities: np.ndarray, labels: np.ndarray) -> float | None:

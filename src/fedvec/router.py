@@ -10,7 +10,7 @@ its SGD steps and validation in float32 on float32 copies of the
 standardized splits; the scaler is fit in float64, and the returned model's
 arrays are the best epoch's float32 values upcast exactly to float64, so
 stored weights and all inference are float64. Everything is deterministic
-under the config seed.
+under the run seed.
 """
 
 from __future__ import annotations
@@ -91,7 +91,6 @@ class TrainConfig:
     pos_weight: float | None = None  # None = train-split negatives/positives
     dropout_rate: float = 0.2
     momentum: float = 0.9
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -384,6 +383,7 @@ def train(
     query_ids: np.ndarray,
     split: SplitSpec,
     config: TrainConfig,
+    seed: int,
 ) -> TrainResult:
     """Train on the split's train questions, checkpointing on val accuracy.
 
@@ -392,7 +392,8 @@ def train(
     The scaler and the default pos_weight are fit on the training split only.
     The returned model is the epoch checkpoint with the highest validation
     accuracy at threshold 0.5 (earliest epoch wins ties), its float32
-    parameters upcast to float64.
+    parameters upcast to float64. A run whose loss or weights stop being
+    finite ends in ValueError.
     """
     x_raw = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -414,7 +415,7 @@ def train(
     if config.cycle_length is not None and config.cycle_length < 1:
         raise ValueError("cycle_length must be >= 1")
 
-    train_q, val_q, _ = split_by_query(qids, split)
+    train_q, val_q, _ = split_by_query(qids, split, seed)
     in_train = np.isin(qids, sorted(train_q))
     in_val = np.isin(qids, sorted(val_q))
     if not in_val.any():
@@ -433,7 +434,7 @@ def train(
     # Parameters, gradients and velocity are three flat vectors behind the
     # per-array views, so the momentum update is three flat ops.
     input_dim = x_tr.shape[1]
-    init = init_params(input_dim, substream(config.seed, "init"))
+    init = init_params(input_dim, substream(seed, "init"))
     flat = np.concatenate([getattr(init, name).ravel() for name in _PARAM_ORDER], dtype=np.float32)
     params = _flat_views(flat, input_dim)
     x_tr = _checked_rows(params, x_tr)
@@ -453,8 +454,8 @@ def train(
     grads = _flat_views(flat_grads, input_dim)
     velocity = np.zeros_like(flat)
     best_flat = flat.copy()
-    shuffle_rng = substream(config.seed, "shuffle")
-    dropout_rng = substream(config.seed, "dropout")
+    shuffle_rng = substream(seed, "shuffle")
+    dropout_rng = substream(seed, "dropout")
 
     n_tr = x_tr.shape[0]
     steps_per_epoch = math.ceil(n_tr / config.batch_size)
@@ -465,42 +466,49 @@ def train(
     best_epoch = 0
     step = 0
 
-    for epoch in range(1, config.epochs + 1):
-        perm = shuffle_rng.permutation(n_tr)
-        lr_start = cyclic_lr(step, config.lr_min, config.lr_max, half_cycle)
-        loss_sum = 0.0
-        for lo in range(0, n_tr, config.batch_size):
-            batch = perm[lo : lo + config.batch_size]
-            yb = y_tr[batch]
-            lr = cyclic_lr(step, config.lr_min, config.lr_max, half_cycle)
-            masks = None
-            if config.dropout_rate > 0.0:  # m1, then m2, from the one dropout stream
-                masks = tuple(
-                    _dropout_mask((len(batch), h), config.dropout_rate, dropout_rng, flat.dtype)
-                    for h in (HIDDEN1, HIDDEN2)
-                )
-            cache = forward_cache(params, x_tr[batch], masks)
-            loss_sum += bce_with_logits(cache.logits, yb, pos_weight) * len(batch)
-            backward(params, cache, yb, pos_weight, out=grads)
-            velocity *= config.momentum
-            velocity += flat_grads
-            flat -= lr * velocity
-            step += 1
-        lr_end = cyclic_lr(step - 1, config.lr_min, config.lr_max, half_cycle)
+    # A diverging run overflows: the check after each epoch ends it with an
+    # error instead of numpy warnings, and no checkpoint holds a non-finite weight.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            perm = shuffle_rng.permutation(n_tr)
+            lr_start = cyclic_lr(step, config.lr_min, config.lr_max, half_cycle)
+            loss_sum = 0.0
+            for lo in range(0, n_tr, config.batch_size):
+                batch = perm[lo : lo + config.batch_size]
+                yb = y_tr[batch]
+                lr = cyclic_lr(step, config.lr_min, config.lr_max, half_cycle)
+                masks = None
+                if config.dropout_rate > 0.0:  # m1, then m2, from the one dropout stream
+                    masks = tuple(
+                        _dropout_mask((len(batch), h), config.dropout_rate, dropout_rng, flat.dtype)
+                        for h in (HIDDEN1, HIDDEN2)
+                    )
+                cache = forward_cache(params, x_tr[batch], masks)
+                loss_sum += bce_with_logits(cache.logits, yb, pos_weight) * len(batch)
+                backward(params, cache, yb, pos_weight, out=grads)
+                velocity *= config.momentum
+                velocity += flat_grads
+                flat -= lr * velocity
+                step += 1
+            lr_end = cyclic_lr(step - 1, config.lr_min, config.lr_max, half_cycle)
 
-        val_acc = float(np.mean((forward(params, x_val) >= 0.0) == (y_val == 1.0)))
-        history.append(EpochStats(epoch, loss_sum / n_tr, val_acc, lr_start, lr_end))
-        if val_acc > best_acc:
-            best_acc = val_acc
-            best_epoch = epoch
-            np.copyto(best_flat, flat)
+            train_loss = loss_sum / n_tr
+            if not (math.isfinite(train_loss) and np.isfinite(flat).all()):
+                raise ValueError(f"training diverged at epoch {epoch} (loss {train_loss!r}); lower lr_max")
+
+            val_acc = float(np.mean((forward(params, x_val) >= 0.0) == (y_val == 1.0)))
+            history.append(EpochStats(epoch, train_loss, val_acc, lr_start, lr_end))
+            if val_acc > best_acc:
+                best_acc = val_acc
+                best_epoch = epoch
+                np.copyto(best_flat, flat)
 
     model = RouterModel(
         params=_flat_views(best_flat.astype(np.float64), input_dim),
         scaler=scaler,
         dropout_rate=config.dropout_rate,
         threshold=0.5,
-        seed=config.seed,
+        seed=seed,
     )
     return TrainResult(model=model, history=history, best_epoch=best_epoch)
 

@@ -356,7 +356,7 @@ def test_criterion_8_standardization_and_normalization(bench, criterion):
     run = bench[0]
     model = load_model(run / "router.rrm")
     table = np.load(run / "labels.npy")
-    train_q, _, _ = split_by_query(table["query_id"], SplitSpec(seed=BENCH_SEED))
+    train_q, _, _ = split_by_query(table["query_id"], SplitSpec(), BENCH_SEED)
     mask = np.isin(table["query_id"], sorted(train_q))
     x = transform(model.scaler, np.asarray(table["features"][mask], dtype=np.float64))
 

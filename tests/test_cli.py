@@ -4,6 +4,8 @@ import argparse
 import copy
 import json
 import os
+import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +43,14 @@ def run(tmp, *argv):
         return main(list(argv))
     finally:
         os.chdir(cwd)
+
+
+REPORT_FILES = ["report.json", "summary.csv", "recall_by_shard.csv", "queries_by_strategy.csv"]
+
+
+def hit_counts(hits):
+    """hits.npy's shard fields as a (Q, n_shards) matrix, in field order."""
+    return np.column_stack([hits[name] for name in hits.dtype.names[1:]])
 
 
 def zero_latency(traces_text):
@@ -86,17 +96,20 @@ class TestPipeline:
         assert set(np.unique(table["label"])) <= {0, 1}
 
     def test_label_writes_hit_counts(self, pipeline):
-        """hits.npy: one record per queries_train query in file order, each
-        query's naive top-k split over the shards in manifest order, and
-        positive exactly where labels.npy labels 1."""
+        """hits.npy: one record per queries_train query in file order, a field
+        per shard named by its id in manifest order, each query's naive top-k
+        split over them, and positive exactly where labels.npy labels 1."""
         out = pipeline / "run"
         hits = np.load(out / "hits.npy")
-        assert hits.dtype == np.dtype([("query_id", "<i8"), ("hits", "<i8", (3,))])
+        assert hits.dtype == np.dtype(
+            [("query_id", "<i8"), ("shard_0", "<i8"), ("shard_1", "<i8"), ("shard_2", "<i8")]
+        )
         qids, _ = read_vectors(out / "queries_train.fvr")
         assert hits["query_id"].tolist() == qids.tolist()
-        assert (hits["hits"] >= 0).all() and (hits["hits"].sum(axis=1) == CONFIG["k"]).all()
+        counts = hit_counts(hits)
+        assert (counts >= 0).all() and (counts.sum(axis=1) == CONFIG["k"]).all()
         table = np.load(out / "labels.npy")
-        np.testing.assert_array_equal(table["label"].reshape(80, 3), hits["hits"] > 0)
+        np.testing.assert_array_equal(table["label"].reshape(80, 3), counts > 0)
 
     def test_training_log(self, pipeline):
         lines = (pipeline / "run" / "training_log.csv").read_text().splitlines()
@@ -131,6 +144,21 @@ class TestPipeline:
         for name in deterministic:
             assert (out / name).read_bytes() == before[name], name
         assert zero_latency((out / "traces.jsonl").read_text()) == traces_before
+
+    def test_eval_reads_no_labels(self, pipeline, tmp_path):
+        """eval takes its hit counts and shard order from hits.npy alone:
+        with labels.npy gone it writes the same report files and traces."""
+        out = tmp_path / "run"
+        shutil.copytree(pipeline / "run", out)
+        (out / "labels.npy").unlink()
+        for name in REPORT_FILES + ["traces.jsonl"]:
+            (out / name).unlink()
+        (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
+        assert run(tmp_path, "--config", "cfg.json", "eval") == 0
+        for name in REPORT_FILES:
+            assert (out / name).read_bytes() == (pipeline / "run" / name).read_bytes(), name
+        traces = (pipeline / "run" / "traces.jsonl").read_text()
+        assert zero_latency((out / "traces.jsonl").read_text()) == zero_latency(traces)
 
     def test_report_rebuilds_eval_bytes(self, pipeline):
         out = pipeline / "run"
@@ -223,7 +251,8 @@ class TestFailures:
             ({"synthetic": {"points_per_cluster": ["a", "b"]}}, "points_per_cluster must be"),
             ({"synthetic": {"points_per_cluster": [1, 2, 3]}}, "points_per_cluster must be"),
             ({"split": {"train_frac": None}}, "bad 'split' config block: train_frac"),
-            ({"split": {"seed": "1"}}, "bad 'split' config block: seed must be int"),
+            # Blocks take no seed (test_block_seed_is_rejected).
+            ({"split": {"seed": "1"}}, "unexpected keyword argument 'seed'"),
             # Python's json reads Infinity and NaN; no float field takes them.
             ({"train": {"lr_max": float("inf")}}, "lr_max must be float, got Infinity"),
             ({"train": {"pos_weight": float("nan")}}, "pos_weight must be float | None, got NaN"),
@@ -236,6 +265,19 @@ class TestFailures:
             assert run(tmp_path, "--config", "cfg.json", "synth") == 2, doc
             assert message in capsys.readouterr().err, doc
             assert not (tmp_path / "run").exists(), doc
+
+    def test_block_seed_is_rejected(self, tmp_path, capsys):
+        """The top-level seed is the run's only seed: a seed in a block is an
+        unknown key, whatever its value, and no command runs."""
+        for key in ("synthetic", "train", "split"):
+            for value in (1, 2**63):
+                doc = {**CONFIG, key: {**CONFIG.get(key, {}), "seed": value}}
+                (tmp_path / "cfg.json").write_text(json.dumps(doc))
+                assert run(tmp_path, "--config", "cfg.json", "synth") == 2, doc
+                err = capsys.readouterr().err
+                assert err.startswith(f"error: bad '{key}' config block: "), doc
+                assert "unexpected keyword argument 'seed'" in err, doc
+                assert not (tmp_path / "run").exists(), doc
 
     def test_config_accepts_ints_for_floats_and_null_defaults(self, tmp_path):
         doc = {
@@ -302,9 +344,7 @@ class TestFailures:
         """Each broken copy of the pipeline's traces ends `report` in exit 2
         and writes nothing, except one without `latency_ns`, a field the
         report does not read, which rebuilds eval's report files."""
-        report_files = ["report.json", "summary.csv", "recall_by_shard.csv",
-                        "queries_by_strategy.csv"]
-        want = {name: (pipeline / "run" / name).read_bytes() for name in report_files}
+        want = {name: (pipeline / "run" / name).read_bytes() for name in REPORT_FILES}
         clean = [json.loads(line) for line in
                  (pipeline / "run" / "traces.jsonl").read_text().splitlines()]
 
@@ -335,19 +375,17 @@ class TestFailures:
             (out / "traces.jsonl").write_text("\n".join(lines) + "\n")
             assert run(tmp_path, "--config", "cfg.json", "report") == 2, name
             assert capsys.readouterr().err.startswith("error: "), name
-            assert not any((out / f).exists() for f in report_files), name
+            assert not any((out / f).exists() for f in REPORT_FILES), name
 
         (out / "traces.jsonl").write_text("\n".join(traces(lambda row: row.pop("latency_ns"))) + "\n")
         assert run(tmp_path, "--config", "cfg.json", "report") == 0
-        assert {name: (out / name).read_bytes() for name in report_files} == want
+        assert {name: (out / name).read_bytes() for name in REPORT_FILES} == want
 
     def test_report_checks_predicted_selections(self, pipeline, tmp_path, capsys):
         """A predicted record must select p >= threshold, or the lowest-index
         argmax when nothing clears it, and its fallback_used and m must say
         the same: each copy of the traces that breaks one of these for one
         query ends `report` in exit 2 and writes nothing."""
-        report_files = ["report.json", "summary.csv", "recall_by_shard.csv",
-                        "queries_by_strategy.csv"]
         clean = [json.loads(line) for line in
                  (pipeline / "run" / "traces.jsonl").read_text().splitlines()]
         first = next(i for i, row in enumerate(clean)
@@ -374,26 +412,24 @@ class TestFailures:
             (out / "traces.jsonl").write_text("\n".join(map(json.dumps, rows)) + "\n")
             assert run(tmp_path, "--config", "cfg.json", "report") == 2, name
             assert capsys.readouterr().err.startswith("error: "), name
-            assert not any((out / f).exists() for f in report_files), name
+            assert not any((out / f).exists() for f in REPORT_FILES), name
 
     def test_report_threshold_is_the_traces_own(self, pipeline, tmp_path, capsys):
         """Traces made at 0.5: `report` rebuilds eval's files at 0.5, with or
         without --threshold 0.5; --threshold 0.3 ends in exit 2 and writes
         nothing, instead of scoring the classifier at a threshold the
         recorded selections were not made with."""
-        report_files = ["report.json", "summary.csv", "recall_by_shard.csv",
-                        "queries_by_strategy.csv"]
-        want = {name: (pipeline / "run" / name).read_bytes() for name in report_files}
+        want = {name: (pipeline / "run" / name).read_bytes() for name in REPORT_FILES}
         (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
         out = tmp_path / "run"
         out.mkdir()
         (out / "traces.jsonl").write_bytes((pipeline / "run" / "traces.jsonl").read_bytes())
         assert run(tmp_path, "--config", "cfg.json", "--threshold", "0.3", "report") == 2
         assert capsys.readouterr().err.startswith("error: --threshold 0.3 differs from the threshold 0.5")
-        assert not any((out / f).exists() for f in report_files)
+        assert not any((out / f).exists() for f in REPORT_FILES)
         for flags in ([], ["--threshold", "0.5"]):
             assert run(tmp_path, "--config", "cfg.json", *flags, "report") == 0
-            assert {name: (out / name).read_bytes() for name in report_files} == want
+            assert {name: (out / name).read_bytes() for name in REPORT_FILES} == want
 
     def test_labels_without_table_fields(self, tmp_path, capsys):
         (tmp_path / "run").mkdir()
@@ -410,7 +446,7 @@ class TestFailures:
             assert run(tmp_path, "--config", "cfg.json", command) == 0
         labels_path = tmp_path / "run" / "labels.npy"
         clean = np.load(labels_path)
-        for split_queries in split_by_query(clean["query_id"], SplitSpec(seed=CONFIG["seed"]))[:2]:
+        for split_queries in split_by_query(clean["query_id"], SplitSpec(), CONFIG["seed"])[:2]:
             table = clean.copy()
             table["features"][np.isin(table["query_id"], sorted(split_queries)).argmax(), 2] = np.nan
             np.save(labels_path, table)
@@ -428,6 +464,22 @@ class TestFailures:
         assert "error: momentum must be in [0, 1)" in capsys.readouterr().err
         assert not (tmp_path / "run" / "router.rrm").exists()
 
+    def test_diverging_training(self, tmp_path, capsys):
+        """A learning rate of 1e30 overflows the weights in the first epoch:
+        train ends in exit 2 with numpy's warnings as errors, and writes
+        neither the model nor the training log."""
+        (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
+        for command in ("synth", "label"):
+            assert run(tmp_path, "--config", "cfg.json", command) == 0
+        bad = {**CONFIG, "train": {**CONFIG["train"], "lr_min": 1e30, "lr_max": 1e30}}
+        (tmp_path / "cfg.json").write_text(json.dumps(bad))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(tmp_path, "--config", "cfg.json", "train") == 2
+        assert capsys.readouterr().err.startswith("error: training diverged at epoch 1")
+        assert not (tmp_path / "run" / "router.rrm").exists()
+        assert not (tmp_path / "run" / "training_log.csv").exists()
+
     def test_standardized_value_beyond_float32(self, tmp_path, capsys):
         """Feature 0 is constant over the training rows, so its std is
         floored at 1e-8, and one validation row sits 1e31 away: it
@@ -437,7 +489,7 @@ class TestFailures:
             assert run(tmp_path, "--config", "cfg.json", command) == 0
         labels_path = tmp_path / "run" / "labels.npy"
         table = np.load(labels_path)
-        _, val_q, _ = split_by_query(table["query_id"], SplitSpec(seed=CONFIG["seed"]))
+        _, val_q, _ = split_by_query(table["query_id"], SplitSpec(), CONFIG["seed"])
         table["features"][:, 0] = 0.5
         table["features"][np.isin(table["query_id"], sorted(val_q)).argmax(), 0] = 0.5 + 1e31
         np.save(labels_path, table)
@@ -479,7 +531,7 @@ class TestFailures:
     def test_eval_rejects_malformed_hits(self, tmp_path, capsys):
         """eval reads label's hits.npy instead of scanning: a missing file,
         another record layout or width, other query ids, a negative count,
-        columns in another shard order than the manifest's or counts of
+        fields in another shard order than the manifest's or counts of
         another k end in exit 2 and write nothing."""
         (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
         for command in ("synth", "label", "train"):
@@ -487,20 +539,24 @@ class TestFailures:
         out = tmp_path / "run"
         hits_path = out / "hits.npy"
         clean = np.load(hits_path)
+        counts = hit_counts(clean)
 
-        def with_hits(width, counts, dtype="<i8"):
-            table = np.zeros(len(clean), dtype=[("query_id", "<i8"), ("hits", dtype, (width,))])
+        def with_hits(counts, dtype="<i8"):
+            names = [f"shard_{i}" for i in range(counts.shape[1])]
+            table = np.zeros(len(clean), dtype=[("query_id", "<i8")] + [(n, dtype) for n in names])
             table["query_id"] = clean["query_id"]
-            table["hits"] = counts
+            for name, column in zip(names, counts.T):
+                table[name] = column
             return table
 
         negative = clean.copy()
-        negative["hits"][5, :2] += [-(negative["hits"][5, 0] + 1), negative["hits"][5, 0] + 1]
+        negative["shard_1"][5] += negative["shard_0"][5] + 1
+        negative["shard_0"][5] = -1
         cases = {
             "missing": (None, "cannot read hit counts"),
-            "int32 counts": (with_hits(3, clean["hits"], "<i4"), "expected records"),
-            "plain array": (clean["hits"], "expected records"),
-            "one column more": (with_hits(4, np.pad(clean["hits"], ((0, 0), (0, 1)))), "expected records"),
+            "int32 counts": (with_hits(counts, "<i4"), "expected records"),
+            "plain array": (counts, "expected records"),
+            "one column more": (with_hits(np.pad(counts, ((0, 0), (0, 1)))), "expected records"),
             "query ids reversed": (clean[::-1], "query ids differ"),
             "negative count": (negative, "counts do not split"),
         }
@@ -522,7 +578,8 @@ class TestFailures:
         manifest.write_text(json.dumps(doc))
         assert run(tmp_path, "--config", "cfg.json", "eval") == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "the manifest lists [2, 1, 0]; rerun label" in err
+        assert err.startswith("error: ") and err.rstrip().endswith("; rerun label"), err
+        assert "('shard_2', '<i8'), ('shard_1', '<i8'), ('shard_0', '<i8')], got" in err
         assert not (out / "traces.jsonl").exists() and not (out / "report.json").exists()
         manifest.write_text(listed)
 

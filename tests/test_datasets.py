@@ -67,7 +67,7 @@ class TestKMeans:
         plain loop's centroids, assignment and inertia history bit for bit,
         on a synthetic corpus and on points that leave clusters empty."""
         corpus = generate_synthetic(SyntheticSpec(n_clusters=6, dim=8, points_per_cluster=(40, 90),
-                                                  n_train_queries=10, seed=4)).corpus
+                                                  n_train_queries=10), 4).corpus
         cases = [(corpus, 6, 4), (np.array([[0.0]] * 8 + [[10.0]] * 8), 3, 2),
                  (np.repeat(np.eye(3) * 5.0, [5, 1, 30], axis=0), 5, 1)]
         for vectors, k, seed in cases:
@@ -144,11 +144,11 @@ class TestSynthetic:
         points_per_cluster=(30, 90),
         n_train_queries=50,
         n_eval_queries=20,
-        seed=12,
     )
+    SEED = 12
 
     def test_shapes_and_size_bounds(self):
-        data = generate_synthetic(self.SPEC)
+        data = generate_synthetic(self.SPEC, self.SEED)
         counts = np.bincount(data.corpus_cluster, minlength=4)
         assert data.corpus.shape == (counts.sum(), 6)
         assert counts.min() >= 30 and counts.max() <= 90
@@ -157,24 +157,19 @@ class TestSynthetic:
         assert data.train_query_cluster.shape == (50,)
 
     def test_deterministic_and_seed_sensitive(self):
-        a = generate_synthetic(self.SPEC)
-        b = generate_synthetic(self.SPEC)
+        a = generate_synthetic(self.SPEC, self.SEED)
+        b = generate_synthetic(self.SPEC, self.SEED)
         np.testing.assert_array_equal(a.corpus, b.corpus)
         np.testing.assert_array_equal(a.train_queries, b.train_queries)
-        c = generate_synthetic(
-            SyntheticSpec(
-                n_clusters=4, dim=6, points_per_cluster=(30, 90),
-                n_train_queries=50, n_eval_queries=20, seed=13,
-            )
-        )
+        c = generate_synthetic(self.SPEC, self.SEED + 1)
         assert not np.array_equal(a.corpus, c.corpus)
 
     def test_zero_noise_queries_are_corpus_points(self):
         spec = SyntheticSpec(
             n_clusters=3, dim=4, points_per_cluster=(20, 40), query_noise=0.0,
-            n_train_queries=25, n_eval_queries=5, seed=3,
+            n_train_queries=25, n_eval_queries=5,
         )
-        data = generate_synthetic(spec)
+        data = generate_synthetic(spec, 3)
         for query, cluster in zip(data.train_queries, data.train_query_cluster):
             d2 = np.einsum("ij,ij->i", data.corpus - query, data.corpus - query)
             nearest = int(np.argmin(d2))
@@ -186,8 +181,9 @@ class TestSynthetic:
             SyntheticSpec(
                 n_clusters=5, dim=8, points_per_cluster=(200, 200),
                 cluster_spread=0.0, center_radius=7.5,
-                n_train_queries=10, n_eval_queries=1, seed=4,
-            )
+                n_train_queries=10, n_eval_queries=1,
+            ),
+            4,
         )
         # zero spread collapses each cluster onto its center
         norms = np.linalg.norm(data.corpus, axis=1)
@@ -195,37 +191,33 @@ class TestSynthetic:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="positive"):
-            generate_synthetic(SyntheticSpec(n_clusters=0))
+            generate_synthetic(SyntheticSpec(n_clusters=0), 0)
         with pytest.raises(ValueError, match="inverted"):
-            generate_synthetic(SyntheticSpec(points_per_cluster=(9, 3)))
+            generate_synthetic(SyntheticSpec(points_per_cluster=(9, 3)), 0)
         with pytest.raises(ValueError, match="nonnegative"):
-            generate_synthetic(SyntheticSpec(query_noise=-1.0))
+            generate_synthetic(SyntheticSpec(query_noise=-1.0), 0)
 
 
 class TestSplit:
     def test_exact_partition_of_100(self):
         qids = np.repeat(np.arange(100), 3)  # several rows per query
-        train, val, test = split_by_query(qids, SplitSpec(seed=0))
+        train, val, test = split_by_query(qids, SplitSpec(), 0)
         assert (len(train), len(val), len(test)) == (30, 10, 60)
         assert train | val | test == set(range(100))
         assert not (train & val or train & test or val & test)
 
     def test_deterministic(self):
         qids = np.arange(40)
-        assert split_by_query(qids, SplitSpec(seed=5)) == split_by_query(
-            qids, SplitSpec(seed=5)
-        )
-        assert split_by_query(qids, SplitSpec(seed=5)) != split_by_query(
-            qids, SplitSpec(seed=6)
-        )
+        assert split_by_query(qids, SplitSpec(), 5) == split_by_query(qids, SplitSpec(), 5)
+        assert split_by_query(qids, SplitSpec(), 5) != split_by_query(qids, SplitSpec(), 6)
 
     def test_too_few_queries(self):
         with pytest.raises(ValueError, match="at least 10"):
-            split_by_query(np.arange(9), SplitSpec())
+            split_by_query(np.arange(9), SplitSpec(), 0)
 
     def test_bad_fractions(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            split_by_query(np.arange(20), SplitSpec(0.5, 0.2, 0.2))
+            split_by_query(np.arange(20), SplitSpec(0.5, 0.2, 0.2), 0)
 
 
 class TestImport:

@@ -110,9 +110,9 @@ class TestDecisions:
         shards = make_shards(n_shards=6, per_shard=20, dim=4, seed=29)
         rng = np.random.default_rng(31)
         queries = rng.standard_normal((40, 4))
-        table, _ = generate_labels(shards, list(enumerate(queries)), k=5)
+        table, _ = generate_labels(shards, np.arange(len(queries)), queries, k=5)
         model = train(table["features"], table["label"], table["query_id"],
-                      SplitSpec(0.5, 0.25, 0.25, seed=1), TrainConfig(epochs=2, seed=1)).model
+                      SplitSpec(0.5, 0.25, 0.25), TrainConfig(epochs=2), 1).model
         stats = [s.stats for s in shards]
         block = feature_rows(queries, stats)
         for qid, q in enumerate(queries):
@@ -207,26 +207,25 @@ class TestLabels:
     def test_generate_labels_shape_and_recomputation(self):
         shards = make_shards(n_shards=3, per_shard=5, seed=13)
         rng = np.random.default_rng(17)
-        queries = [(qid, rng.standard_normal(3)) for qid in range(12)]
-        table, counts = generate_labels(shards, queries, k=4)
+        queries = rng.standard_normal((12, 3))
+        table, counts = generate_labels(shards, np.arange(12), queries, k=4)
         assert table.shape == (12 * 3,)
         assert counts.shape == (12, 3) and counts.dtype == np.int64
         assert table.dtype.names == ("query_id", "shard_id", "label", "features")
         by_query = {}
-        for qid, query in queries:
+        for qid, query in enumerate(queries):
             hits = naive_search(qid, shards, query, 4).hits
             by_query[qid] = {h.shard_id for h in hits}
         for row in table:
             assert row["label"] == int(row["shard_id"] in by_query[row["query_id"]])
         # features must be the assembled (query, shard stats) row, verbatim
         np.testing.assert_array_equal(
-            table[0]["features"], assemble_features(queries[0][1], shards[0].stats)
+            table[0]["features"], assemble_features(queries[0], shards[0].stats)
         )
 
     def test_every_query_contributes_rows_for_every_shard(self):
         shards = make_shards()
-        queries = [(5, np.zeros(3)), (6, np.ones(3))]
-        table, _ = generate_labels(shards, queries, k=2)
+        table, _ = generate_labels(shards, np.array([5, 6]), np.array([np.zeros(3), np.ones(3)]), k=2)
         assert list(zip(table["query_id"].tolist(), table["shard_id"].tolist())) == [
             (5, 0), (5, 1), (5, 2), (6, 0), (6, 1), (6, 2),
         ]
@@ -243,14 +242,13 @@ class TestLabels:
             build_index(sid, 1000 * sid + np.arange(12), grid[rng.permutation(12)])
             for sid in (4, 1, 7)
         ]
-        queries = [(100 + i, rng.integers(0, 3, size=2) + 0.5 * rng.integers(0, 2, size=2))
-                   for i in range(SCREEN_BUDGET // 36 + 37)]
+        queries = np.array([rng.integers(0, 3, size=2) + 0.5 * rng.integers(0, 2, size=2)
+                            for _ in range(SCREEN_BUDGET // 36 + 37)])
+        qids = 100 + np.arange(len(queries))
         for k in (1, 5):
-            table, counts = generate_labels(shards, queries, k)
-            np.testing.assert_array_equal(
-                counts, naive_hit_counts(shards, np.array([q for _, q in queries]), k)
-            )
-            for i, (qid, query) in enumerate(queries):
+            table, counts = generate_labels(shards, qids, queries, k)
+            np.testing.assert_array_equal(counts, naive_hit_counts(shards, queries, k))
+            for i, (qid, query) in enumerate(zip(qids.tolist(), queries)):
                 hits = naive_search(qid, shards, query, k).hits
                 labels = relevant_shards(hits, shards)
                 rows = table[i * 3 : (i + 1) * 3]

@@ -34,7 +34,8 @@ from fedvec.router import (
     train,
 )
 
-SPLIT = SplitSpec(train_frac=0.5, val_frac=0.25, test_frac=0.25, seed=3)
+SPLIT = SplitSpec(train_frac=0.5, val_frac=0.25, test_frac=0.25)
+SEED = 5
 
 
 def toy_examples(n_queries=60, seed=7):
@@ -54,8 +55,8 @@ def toy_examples(n_queries=60, seed=7):
 
 @pytest.fixture(scope="module")
 def toy_result():
-    config = TrainConfig(epochs=8, batch_size=16, dropout_rate=0.1, seed=5)
-    return train(*toy_examples(), SPLIT, config)
+    config = TrainConfig(epochs=8, batch_size=16, dropout_rate=0.1)
+    return train(*toy_examples(), SPLIT, config, SEED)
 
 
 class TestCyclicLr:
@@ -89,15 +90,14 @@ class TestTraining:
 
     def test_checkpointed_model_predicts_labels(self, toy_result):
         features, labels, qids = toy_examples()
-        _, _, test_q = split_by_query(qids, SPLIT)
+        _, _, test_q = split_by_query(qids, SPLIT, SEED)
         in_test = np.isin(qids, sorted(test_q))
         probs = predict_batch(toy_result.model, features[in_test])
         assert np.mean((probs >= 0.5) == (labels[in_test] == 1)) >= 0.9
 
     def test_bitwise_deterministic(self, toy_result):
         again = train(
-            *toy_examples(), SPLIT, TrainConfig(epochs=8, batch_size=16,
-                                               dropout_rate=0.1, seed=5)
+            *toy_examples(), SPLIT, TrainConfig(epochs=8, batch_size=16, dropout_rate=0.1), SEED
         )
         assert again.history == toy_result.history
         assert serialize_model(again.model) == serialize_model(toy_result.model)
@@ -106,41 +106,42 @@ class TestTraining:
         """pos_weight=None must train identically to passing the train-split
         negative/positive ratio explicitly, recounted here by hand."""
         features, labels, qids = toy_examples()
-        train_q, _, _ = split_by_query(qids, SPLIT)
+        train_q, _, _ = split_by_query(qids, SPLIT, SEED)
         counts = Counter(labels[np.isin(qids, sorted(train_q))].tolist())
         explicit = train(
             features,
             labels,
             qids,
             SPLIT,
-            TrainConfig(epochs=8, batch_size=16, dropout_rate=0.1, seed=5,
+            TrainConfig(epochs=8, batch_size=16, dropout_rate=0.1,
                         pos_weight=counts[0] / counts[1]),
+            SEED,
         )
         assert serialize_model(explicit.model) == serialize_model(toy_result.model)
 
     def test_input_validation(self):
         cfg = TrainConfig(epochs=2, batch_size=8)
         with pytest.raises(ValueError, match="no training examples"):
-            train([], [], [], SPLIT, cfg)
+            train([], [], [], SPLIT, cfg, SEED)
         with pytest.raises(ValueError, match="positive"):
-            train(*toy_examples(), SPLIT, TrainConfig(epochs=0))
+            train(*toy_examples(), SPLIT, TrainConfig(epochs=0), SEED)
         with pytest.raises(ValueError, match="dropout"):
-            train(*toy_examples(), SPLIT, TrainConfig(dropout_rate=1.0))
+            train(*toy_examples(), SPLIT, TrainConfig(dropout_rate=1.0), SEED)
         with pytest.raises(ValueError, match="lr_min"):
-            train(*toy_examples(), SPLIT, TrainConfig(lr_min=0.0))
+            train(*toy_examples(), SPLIT, TrainConfig(lr_min=0.0), SEED)
         for momentum in (-0.1, 1.0, 3.0, math.nan):
             with pytest.raises(ValueError, match="momentum"):
-                train(*toy_examples(), SPLIT, TrainConfig(momentum=momentum))
+                train(*toy_examples(), SPLIT, TrainConfig(momentum=momentum), SEED)
         for pos_weight in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="pos_weight"):
-                train(*toy_examples(), SPLIT, TrainConfig(pos_weight=pos_weight))
+                train(*toy_examples(), SPLIT, TrainConfig(pos_weight=pos_weight), SEED)
         with pytest.raises(ValueError, match="cycle_length"):
-            train(*toy_examples(), SPLIT, TrainConfig(cycle_length=0))
+            train(*toy_examples(), SPLIT, TrainConfig(cycle_length=0), SEED)
         with pytest.raises(ValueError, match="validation split is empty"):
-            train(*toy_examples(), SplitSpec(0.9, 0.0, 0.1, seed=3), cfg)
+            train(*toy_examples(), SplitSpec(0.9, 0.0, 0.1), cfg, SEED)
         single = np.repeat(np.arange(12.0)[:, None], 4, axis=1)
         with pytest.raises(ValueError, match="single class"):
-            train(single, np.ones(12), np.arange(12), SplitSpec(0.5, 0.25, 0.25, seed=0), cfg)
+            train(single, np.ones(12), np.arange(12), SplitSpec(0.5, 0.25, 0.25), cfg, 0)
 
 
 def floor_examples(n_queries=300, seed=11):
@@ -157,14 +158,14 @@ def floor_examples(n_queries=300, seed=11):
     return features, labels, np.arange(3 * n_queries) // 3
 
 
-def reference_train(features, labels, query_ids, split, config):
+def reference_train(features, labels, query_ids, split, config, seed):
     """train() as a plain loop in float32: the standardized splits and the
     initial parameters cast once, masks drawn as float32, fresh arrays every
     step, momentum array by array, validation through one forward_cache over
     all validation rows. Returns (best params as float32, history, best
     epoch, floored training rows seen)."""
     y = labels.astype(np.float64)
-    train_q, val_q, _ = split_by_query(query_ids, split)
+    train_q, val_q, _ = split_by_query(query_ids, split, seed)
     in_train = np.isin(query_ids, sorted(train_q))
     in_val = np.isin(query_ids, sorted(val_q))
     scaler = fit_scaler(features[in_train])
@@ -174,11 +175,11 @@ def reference_train(features, labels, query_ids, split, config):
     n_pos = y_tr.sum()
     pos_weight = (len(y_tr) - n_pos) / n_pos
 
-    init = init_params(x_tr.shape[1], substream(config.seed, "init"))
+    init = init_params(x_tr.shape[1], substream(seed, "init"))
     params = RouterParams(**{name: getattr(init, name).astype(np.float32) for name in _PARAM_ORDER})
     floor = np.float32(1) / np.sqrt(np.float32(LN_EPS))
-    shuffle_rng = substream(config.seed, "shuffle")
-    dropout_rng = substream(config.seed, "dropout")
+    shuffle_rng = substream(seed, "shuffle")
+    dropout_rng = substream(seed, "dropout")
     velocity = {name: np.zeros_like(getattr(params, name)) for name in _PARAM_ORDER}
     half_cycle = 2 * math.ceil(len(x_tr) / config.batch_size)
     history, best_acc, best_epoch, best_params = [], -1.0, 0, params.copy()
@@ -248,12 +249,12 @@ class TestReusedBuffers:
         bit. The toy has dropout, a short last batch (360 training rows in
         batches of 32), variance-floored rows and two validation blocks."""
         data = floor_examples()
-        split = SplitSpec(0.4, 0.4, 0.2, seed=1)
-        config = TrainConfig(epochs=5, batch_size=32, dropout_rate=0.2, seed=3)
-        params, history, best_epoch, floored = reference_train(*data, split, config)
+        split = SplitSpec(0.4, 0.4, 0.2)
+        config = TrainConfig(epochs=5, batch_size=32, dropout_rate=0.2)
+        params, history, best_epoch, floored = reference_train(*data, split, config, 3)
         assert floored > 0
 
-        result = train(*data, split, config)
+        result = train(*data, split, config, 3)
         assert result.history == history
         assert result.best_epoch == best_epoch
         for name in _PARAM_ORDER:
@@ -275,11 +276,11 @@ class TestReusedBuffers:
         features = rng.standard_normal((20000, 67))
         labels = (features[:, 0] > 0.8).astype(np.int64)
         qids = np.arange(20000) // 10
-        split = SplitSpec(seed=1)
-        assert np.isin(qids, sorted(split_by_query(qids, split)[1])).sum() >= 2000
+        split = SplitSpec()
+        assert np.isin(qids, sorted(split_by_query(qids, split, 1)[1])).sum() >= 2000
         tracemalloc.start()
         try:
-            train(features, labels, qids, split, TrainConfig(epochs=1, seed=0))
+            train(features, labels, qids, split, TrainConfig(epochs=1), 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
