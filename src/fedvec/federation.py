@@ -100,13 +100,12 @@ def result_from_hit_lists(
     dim: int,
     k: int,
 ) -> FederatedResult:
-    """Merge the selected shards' already-fetched lists and account bytes."""
-    picked = np.flatnonzero(decision.selected)
-    lists = [hit_lists[i] for i in picked]
-    cost = selection_cost(decision.selected[picked], [len(h) for h in lists], dim)
+    """Merge the selected shards' fetched lists, one per shard queried, and
+    account the bytes moved."""
+    cost = selection_cost(np.ones(len(hit_lists), dtype=bool), [len(h) for h in hit_lists], dim)
     return FederatedResult(
         query_id=decision.query_id,
-        hits=merge_hits(lists, k),
+        hits=merge_hits(hit_lists, k),
         shards_queried=cost["m"],
         embeddings_returned=cost["embeddings_returned"],
         bytes_moved=cost["bytes_moved"],
@@ -123,9 +122,7 @@ def federated_search(
     bytes moved."""
     if decision.selected.shape[0] != len(shards):
         raise ValueError("decision does not align with the shard sequence")
-    hit_lists: list[list[ScoredHit]] = [[] for _ in shards]
-    for i in np.flatnonzero(decision.selected):
-        hit_lists[i] = search_top_k(shards[i], query, k)
+    hit_lists = [search_top_k(shards[i], query, k) for i in np.flatnonzero(decision.selected)]
     return result_from_hit_lists(decision, hit_lists, np.size(query), k)
 
 

@@ -400,6 +400,8 @@ def train(
     qids = np.asarray(query_ids, dtype=np.int64)
     if x_raw.ndim != 2 or x_raw.shape[0] == 0:
         raise ValueError("no training examples")
+    if not np.isin(y, (0.0, 1.0)).all():
+        raise ValueError("labels must be 0 or 1")
     if config.epochs < 1 or config.batch_size < 1:
         raise ValueError("epochs and batch_size must be positive")
     if not 0.0 <= config.dropout_rate < 1.0:
@@ -418,6 +420,8 @@ def train(
     train_q, val_q, _ = split_by_query(qids, split, seed)
     in_train = np.isin(qids, sorted(train_q))
     in_val = np.isin(qids, sorted(val_q))
+    if not in_train.any():
+        raise ValueError("training split is empty")
     if not in_val.any():
         raise ValueError("validation split is empty")
     y_tr = y[in_train]

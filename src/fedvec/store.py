@@ -10,12 +10,9 @@ import numpy as np
 
 EPS = np.finfo(np.float64).eps
 # Screen elements per query block of `search_batch`: a block is
-# max(1, SCREEN_BUDGET // n) queries, so its (queries, n) float64 screen and
-# partition buffers stay near 1 MiB each whatever the query count.
+# max(1, SCREEN_BUDGET // n) queries, so its (queries, n) float64 screen
+# stays near 1 MiB whatever the query count.
 SCREEN_BUDGET = 1 << 17
-# Candidate rows re-scored at a time: bounds the gathered (rows, d) copies
-# when k >= n or near-ties make the screen keep most of a block's rows.
-RERANK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -109,15 +106,30 @@ def _screen_margin(index: ShardIndex, qn: float | np.ndarray) -> float | np.ndar
     return 8.0 * (index.dim + 4) * EPS * (index.max_sq_norm + qn)
 
 
+def _select(
+    index: ShardIndex, screen: np.ndarray, query: np.ndarray, margin: float, top: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The exact top-`top` of one query from its (n,) `screen` row: positions
+    in the index and `squared_distances` values, ordered by (distance,
+    vector id). Every row that screens within `margin` of the top-th screen
+    value is re-scored from coordinate differences, so the result equals a
+    full `squared_distances` scan bit for bit (see _screen_margin)."""
+    kth = np.partition(screen, top - 1)[top - 1]
+    # Written as "not above" so a NaN screen (overflow) keeps its row.
+    rows = (~(screen > kth + margin)).nonzero()[0]
+    dists = squared_distances(index.vectors[rows], query)
+    pick = np.lexsort((index.ids[rows], dists))[:top]
+    return rows[pick], dists[pick]
+
+
 def search_batch(index: ShardIndex, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k of one shard for each row of a (Q, d) query matrix.
 
     Returns (rows, distances), both (Q, min(k, n)): positions in the index
     and `squared_distances` values, each query's hits ordered by (distance,
-    vector id). A GEMM screen picks candidates and the diff-based kernel
-    re-scores them, so results equal a full `squared_distances` scan bit for
-    bit. Queries go through in blocks of max(1, SCREEN_BUDGET // n), and the
-    screen, partition and keep buffers are allocated once per call.
+    vector id). A GEMM over a block of max(1, SCREEN_BUDGET // n) queries
+    screens them, into one screen buffer reused across blocks, and
+    `_select` takes each query's exact top-k from its screen row.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != index.dim:
@@ -129,36 +141,19 @@ def search_batch(index: ShardIndex, queries: np.ndarray, k: int) -> tuple[np.nda
         raise ValueError("non-finite query norm")
     n_q, n = queries.shape[0], index.vectors.shape[0]
     top = min(k, n)
-    bound = _screen_margin(index, qn)
+    margins = _screen_margin(index, qn)
     scaled = -2.0 * queries
     block = max(1, SCREEN_BUDGET // n)
-    width = min(block, n_q)
-    screen_buf, part_buf = np.empty((width, n)), np.empty((width, n))
-    keep_buf = np.empty((width, n), dtype=bool)
+    screen_buf = np.empty((min(block, n_q), n))
     out_rows = np.empty((n_q, top), dtype=np.intp)
     out_dists = np.empty((n_q, top))
     for lo in range(0, n_q, block):
         hi = min(lo + block, n_q)
-        b = hi - lo
-        # GEMM screen (see _screen_margin), then the diff-based re-rank.
-        screen, part, keep = screen_buf[:b], part_buf[:b], keep_buf[:b]
+        screen = screen_buf[: hi - lo]
         np.matmul(scaled[lo:hi], index.vectors.T, out=screen)
         screen += index.sq_norms
-        np.copyto(part, screen)
-        part.partition(top - 1, axis=1)
-        # Written as "not above" so a NaN screen (overflow) keeps its row.
-        np.greater(screen, (part[:, top - 1] + bound[lo:hi])[:, None], out=keep)
-        np.logical_not(keep, out=keep)
-        q_of, rows = np.divmod(np.flatnonzero(keep), n)
-        dists = np.empty(rows.shape[0])
-        for r in range(0, rows.shape[0], RERANK_ROWS):
-            chunk = slice(r, r + RERANK_ROWS)
-            dists[chunk] = squared_distances(index.vectors[rows[chunk]], queries[lo + q_of[chunk]])
-        order = np.lexsort((index.ids[rows], dists, q_of))
-        starts = np.searchsorted(q_of, np.arange(b))
-        pick = order[starts[:, None] + np.arange(top)]
-        out_rows[lo:hi] = rows[pick]
-        out_dists[lo:hi] = dists[pick]
+        for i, row in enumerate(screen, lo):
+            out_rows[i], out_dists[i] = _select(index, row, queries[i], margins[i], top)
     return out_rows, out_dists
 
 
@@ -166,8 +161,7 @@ def search_top_k(index: ShardIndex, query: np.ndarray, k: int) -> list[ScoredHit
     """Exact top-k by squared L2, ties broken by ascending vector id.
 
     The one-query form of `search_batch`: a GEMV screen, then the same
-    diff-based re-rank of the rows the margin keeps, so its hits and
-    distances equal `search_batch`'s bit for bit.
+    `_select`, so its hits and distances equal `search_batch`'s bit for bit.
     """
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (index.dim,):
@@ -180,13 +174,6 @@ def search_top_k(index: ShardIndex, query: np.ndarray, k: int) -> list[ScoredHit
     top = min(k, index.vectors.shape[0])
     screen = index.vectors @ (-2.0 * query)
     screen += index.sq_norms
-    kth = np.partition(screen, top - 1)[top - 1]
-    # Written as "not above" so a NaN screen (overflow) keeps its row.
-    rows = (~(screen > kth + _screen_margin(index, qn))).nonzero()[0]
-    dists = squared_distances(index.vectors[rows], query)
-    pick = np.lexsort((index.ids[rows], dists))[:top]
+    rows, dists = _select(index, screen, query, _screen_margin(index, qn), top)
     sid = index.shard_id
-    return [
-        ScoredHit(sid, vid, dist)
-        for vid, dist in zip(index.ids[rows[pick]].tolist(), dists[pick].tolist())
-    ]
+    return [ScoredHit(sid, vid, dist) for vid, dist in zip(index.ids[rows].tolist(), dists.tolist())]

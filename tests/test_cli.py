@@ -464,6 +464,31 @@ class TestFailures:
         assert "error: momentum must be in [0, 1)" in capsys.readouterr().err
         assert not (tmp_path / "run" / "router.rrm").exists()
 
+    def test_empty_training_split(self, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
+        for command in ("synth", "label"):
+            assert run(tmp_path, "--config", "cfg.json", command) == 0
+        bad = {**CONFIG, "split": {"train_frac": 0, "val_frac": 0.5, "test_frac": 0.5}}
+        (tmp_path / "cfg.json").write_text(json.dumps(bad))
+        assert run(tmp_path, "--config", "cfg.json", "train") == 2
+        assert capsys.readouterr().err == "error: training split is empty\n"
+        assert not (tmp_path / "run" / "router.rrm").exists()
+
+    def test_labels_outside_zero_one(self, tmp_path, capsys):
+        """Positives set to 2, then negatives set to -1."""
+        (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
+        for command in ("synth", "label"):
+            assert run(tmp_path, "--config", "cfg.json", command) == 0
+        labels_path = tmp_path / "run" / "labels.npy"
+        clean = np.load(labels_path)
+        for old, new in ((1, 2), (0, -1)):
+            table = clean.copy()
+            table["label"][table["label"] == old] = new
+            np.save(labels_path, table)
+            assert run(tmp_path, "--config", "cfg.json", "train") == 2
+            assert capsys.readouterr().err == "error: labels must be 0 or 1\n"
+            assert not (tmp_path / "run" / "router.rrm").exists()
+
     def test_diverging_training(self, tmp_path, capsys):
         """A learning rate of 1e30 overflows the weights in the first epoch:
         train ends in exit 2 with numpy's warnings as errors, and writes

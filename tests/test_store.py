@@ -7,7 +7,7 @@ import pytest
 
 from fedvec.features import assemble_features
 from fedvec.store import (
-    RERANK_ROWS,
+    SCREEN_BUDGET,
     ScoredHit,
     build_index,
     search_batch,
@@ -152,8 +152,7 @@ class TestSearchTopK:
 class TestSearchBatch:
     def test_near_duplicates_at_large_norm(self):
         """Points 1e-7 apart around 1e6, plus exact duplicates: the GEMM
-        screen cannot order them, so exactness rests on the error bound, and
-        every row is re-scored (more than RERANK_ROWS per block)."""
+        screen cannot order them, so exactness rests on the error bound."""
         rng = np.random.default_rng(3)
         d = 4
         vectors = 1e6 + 1e-7 * rng.integers(0, 50, size=(600, d))
@@ -162,7 +161,6 @@ class TestSearchBatch:
         index = build_index(2, ids, vectors)
         queries = 1e6 + 1e-7 * rng.integers(0, 50, size=(30, d)).astype(float)
         queries[:5] = vectors[:5]
-        assert queries.shape[0] * vectors.shape[0] > RERANK_ROWS
         screen = index.sq_norms - 2.0 * queries @ vectors.T
         for k in (1, 7, 25):
             want = assert_both_kernels_exact(index, queries, k)
@@ -185,6 +183,16 @@ class TestSearchBatch:
         index = build_index(1, rng.permutation(500), 3.0 + rng.standard_normal((500, 16)))
         queries = 3.0 + rng.standard_normal((40, 16))
         for k in (1, 10, 499):
+            assert_both_kernels_exact(index, queries, k)
+
+    def test_queries_span_several_blocks(self):
+        """More queries than one screen block holds, so the screen buffer is
+        reused and the last block is partial."""
+        rng = np.random.default_rng(9)
+        n = 5000
+        index = build_index(4, rng.permutation(n), rng.standard_normal((n, 8)))
+        queries = rng.standard_normal((2 * (SCREEN_BUDGET // n) + 7, 8))
+        for k in (10, n):
             assert_both_kernels_exact(index, queries, k)
 
     def test_rejects_non_finite_query(self):
