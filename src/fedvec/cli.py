@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from .datasets import (
 )
 from .features import feature_dim, feature_rows
 from .federation import generate_labels, select_shards, selection_cost
-from .metrics import report_from_traces, render_report_files, summarize_latency
+from .metrics import csv_bytes, report_from_traces, render_report_files, summarize_latency
 from .router import TrainConfig, load_model, predict_batch, serialize_model, train
 from .store import search_top_k  # noqa: F401  (perfbench/selftest.py checks tracing wraps it here)
 from .vecio import manifest_bytes, read_vectors, vector_file_bytes
@@ -39,16 +39,33 @@ from .vecio import manifest_bytes, read_vectors, vector_file_bytes
 
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int
-    k: int
-    threshold: float
-    out: Path
-    manifest: Path
-    queries_train: Path
-    queries_eval: Path
-    synthetic: SyntheticSpec
-    train: TrainConfig
-    split: SplitSpec
+    """The whole config: run-wide values, then one block per stage. Each
+    type checks its own ranges when built, so a bad value stops every
+    command before it reads or writes anything. `manifest` and the query
+    files default to files in `out`."""
+
+    seed: int = 0
+    k: int = 10
+    threshold: float = 0.5
+    out: Path = Path("run")
+    manifest: Path = None
+    queries_train: Path = None
+    queries_eval: Path = None
+    synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    split: SplitSpec = field(default_factory=SplitSpec)
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.seed < 2**63:  # the model file stores it as an i64
+            raise ValueError(f"seed must be in [0, 2**63), got {self.seed}")
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ValueError("threshold must be in [0, 1]")
+        for name, default in (("manifest", "manifest.json"), ("queries_train", "queries_train.fvr"),
+                              ("queries_eval", "queries_eval.fvr")):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, self.out / default)
 
     @property
     def labels_path(self) -> Path:
@@ -67,11 +84,9 @@ class RunConfig:
         return self.out / "traces.jsonl"
 
 
-_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
-_TOP_LEVEL_TYPES = {
-    "seed": "int", "k": "int", "threshold": "float", "out": "str",
-    "manifest": "str", "queries_train": "str", "queries_eval": "str",
-}
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "Path": str}
+# How a JSON value that fits a field's annotation becomes the field's value.
+_FROM_JSON = {"float": float, "Path": Path, "tuple[int, int]": tuple}
 
 
 def _json_type_ok(value, type_name: str) -> bool:
@@ -90,7 +105,34 @@ def _json_type_ok(value, type_name: str) -> bool:
     return not isinstance(value, bool) and isinstance(value, _JSON_TYPES[base])
 
 
+def _build(cls, doc, where: str):
+    """A `cls` built from the JSON object `doc`: each known key's value must
+    fit its field's annotation, and a block field is built from its own
+    object the same way. `cls` rejects unknown keys and checks ranges; every
+    error names `where`."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: not a JSON object")
+    values = dict(doc)
+    for f in fields(cls):
+        if f.name not in doc:
+            continue
+        value = doc[f.name]
+        if is_dataclass(f.default_factory):
+            values[f.name] = _build(f.default_factory, value, f"bad '{f.name}' config block")
+        elif not _json_type_ok(value, f.type):
+            json_type = f.type.replace("Path", "str")  # a path is a JSON string
+            raise ValueError(f"{where}: {f.name} must be {json_type}, got {json.dumps(value)}")
+        elif value is not None and (convert := _FROM_JSON.get(f.type.removesuffix(" | None"))):
+            values[f.name] = convert(value)
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
 def load_config(args: argparse.Namespace) -> RunConfig:
+    """The config file's object with the --seed/--k/--threshold/--out flags
+    laid over it, built and checked as a RunConfig."""
     doc = {}
     if args.config:
         try:
@@ -99,51 +141,9 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ValueError(f"config {args.config} is not a JSON object")
-
-    for name, type_name in _TOP_LEVEL_TYPES.items():
-        if name in doc and not _json_type_ok(doc[name], type_name):
-            raise ValueError(f"bad config: {name} must be {type_name}, got {json.dumps(doc[name])}")
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
-    k = args.k if args.k is not None else doc.get("k", 10)
-    threshold = args.threshold if args.threshold is not None else float(doc.get("threshold", 0.5))
-    out = Path(args.out if args.out is not None else doc.get("out", "run"))
-    if not 0 <= seed < 2**63:  # the model file stores it as an i64
-        raise ValueError(f"seed must be in [0, 2**63), got {seed}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("threshold must be in [0, 1]")
-
-    def build(cls, key: str):
-        block = doc.get(key, {})
-        if not isinstance(block, dict):
-            raise ValueError(f"bad '{key}' config block: not a JSON object")
-        for f in fields(cls):
-            if f.name in block and not _json_type_ok(block[f.name], f.type):
-                raise ValueError(
-                    f"bad '{key}' config block: {f.name} must be {f.type}, "
-                    f"got {json.dumps(block[f.name])}"
-                )
-        try:
-            return cls(**block)
-        except TypeError as exc:
-            raise ValueError(f"bad '{key}' config block: {exc}") from exc
-
-    synthetic = build(SyntheticSpec, "synthetic")
-    train_cfg = build(TrainConfig, "train")
-    split = build(SplitSpec, "split")
-    return RunConfig(
-        seed=seed,
-        k=k,
-        threshold=threshold,
-        out=out,
-        manifest=Path(doc.get("manifest", out / "manifest.json")),
-        queries_train=Path(doc.get("queries_train", out / "queries_train.fvr")),
-        queries_eval=Path(doc.get("queries_eval", out / "queries_eval.fvr")),
-        synthetic=synthetic,
-        train=train_cfg,
-        split=split,
-    )
+    flags = {name: getattr(args, name) for name in ("seed", "k", "threshold", "out")}
+    doc.update((name, value) for name, value in flags.items() if value is not None)
+    return _build(RunConfig, doc, "bad config")
 
 
 def _write_all(files: dict[Path, bytes | np.ndarray]) -> None:
@@ -282,17 +282,11 @@ def cmd_train(cfg: RunConfig) -> None:
     # agrees with eval, which selects with the config's.
     model = replace(result.model, threshold=cfg.threshold)
 
-    log_lines = ["epoch,train_loss,val_accuracy,lr_start,lr_end"]
-    for e in result.history:
-        log_lines.append(
-            f"{e.epoch},{e.train_loss!r},{e.val_accuracy!r},{e.lr_start!r},{e.lr_end!r}"
-        )
-    _write_all(
-        {
-            cfg.model_path: serialize_model(model),
-            cfg.out / "training_log.csv": ("\n".join(log_lines) + "\n").encode(),
-        }
+    log = csv_bytes(
+        ["epoch", "train_loss", "val_accuracy", "lr_start", "lr_end"],
+        [[e.epoch, e.train_loss, e.val_accuracy, e.lr_start, e.lr_end] for e in result.history],
     )
+    _write_all({cfg.model_path: serialize_model(model), cfg.out / "training_log.csv": log})
     best = result.history[result.best_epoch - 1]
     print(
         f"train: {len(result.history)} epochs on {len(table)} rows; "
@@ -316,6 +310,12 @@ def cmd_eval(cfg: RunConfig) -> None:
         raise ValueError(
             f"{cfg.model_path}: model takes {model.input_dim} features, "
             f"shards of dim {dim} give {feature_dim(dim)}"
+        )
+    # The split is drawn from the seed: another seed's test queries include
+    # the model's training queries.
+    if model.seed != cfg.seed:
+        raise ValueError(
+            f"{cfg.model_path}: trained with seed {model.seed}, not {cfg.seed}; rerun train"
         )
     # label's counts of each query's naive top-k hits per shard. A
     # selection's merged top-k holds every naive hit from a selected shard
@@ -347,7 +347,7 @@ def cmd_eval(cfg: RunConfig) -> None:
             "query_id": qid, "k": cfg.k, "strategy": strategy, "latency_ns": 0,
             "probabilities": None, "relevant": None, "shard_recalls": None,
             "fallback_used": False, "selected": [int(v) for v in selected],
-            **selection_cost(selected, returned, dim),
+            **selection_cost(returned[selected], dim),
             "recall": int(counts[selected].sum()) / int(counts.sum()),
             **fields,
         }

@@ -31,10 +31,6 @@ class SyntheticSpec:
     n_eval_queries: int = 500
 
     def __post_init__(self) -> None:
-        # JSON configs give the range as a list.
-        object.__setattr__(self, "points_per_cluster", tuple(self.points_per_cluster))
-
-    def validate(self) -> None:
         lo, hi = self.points_per_cluster
         if min(self.n_clusters, self.dim, lo, hi, self.n_train_queries) < 1:
             raise ValueError("synthetic spec fields must be positive")
@@ -58,7 +54,6 @@ class SyntheticData:
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> SyntheticData:
     """Deterministic in (spec, seed): same field values, same bytes out."""
-    spec.validate()
     rng = substream(seed, "data")
 
     g = rng.standard_normal((spec.n_clusters, spec.dim))
@@ -180,7 +175,7 @@ class SplitSpec:
     val_frac: float = 0.10
     test_frac: float = 0.60
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         fracs = (self.train_frac, self.val_frac, self.test_frac)
         if min(fracs) < 0 or abs(sum(fracs) - 1.0) > 1e-9:
             raise ValueError("split fractions must be nonnegative and sum to 1")
@@ -194,7 +189,6 @@ def split_by_query(
     Every (query, shard) row for one question lands in the same partition, so
     no question leaks across splits. Fraction rounding lands within +-1 query.
     """
-    spec.validate()
     unique = np.unique(np.asarray(query_ids, dtype=np.int64))
     q = unique.shape[0]
     if q < 10:

@@ -81,16 +81,16 @@ def merge_hits(hit_lists: Sequence[list[ScoredHit]], k: int) -> list[ScoredHit]:
     return merged[:k]
 
 
-def selection_cost(selected: np.ndarray, returned: Sequence[int], dim: int) -> dict:
+def selection_cost(returned: Sequence[int], dim: int) -> dict:
     """The wire cost of one query: m, embeddings_returned and bytes_moved.
 
-    `selected` is the (n_shards,) shard mask and `returned` how many
-    embeddings each shard sends back. The query goes to the m selected
-    shards and r embeddings come back from them; each message is one unit
-    of a u64 id plus dim f32 coordinates, so (m + r) units move.
+    `returned` holds how many embeddings each contacted shard sends back.
+    The query goes to those m shards and r embeddings come back from them;
+    each message is one unit of a u64 id plus dim f32 coordinates, so
+    (m + r) units move.
     """
-    m = int(np.count_nonzero(selected))
-    r = int(np.asarray(returned, dtype=np.int64)[selected].sum())
+    m = len(returned)
+    r = int(sum(returned))
     return {"m": m, "embeddings_returned": r, "bytes_moved": (m + r) * (8 + 4 * dim)}
 
 
@@ -102,7 +102,7 @@ def result_from_hit_lists(
 ) -> FederatedResult:
     """Merge the selected shards' fetched lists, one per shard queried, and
     account the bytes moved."""
-    cost = selection_cost(np.ones(len(hit_lists), dtype=bool), [len(h) for h in hit_lists], dim)
+    cost = selection_cost([len(h) for h in hit_lists], dim)
     return FederatedResult(
         query_id=decision.query_id,
         hits=merge_hits(hit_lists, k),

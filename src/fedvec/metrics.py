@@ -263,7 +263,8 @@ def report_from_traces(records: Iterable[dict]) -> dict:
     }
 
 
-def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
+def csv_bytes(header: list[str], rows: list[list]) -> bytes:
+    """One CSV artifact's bytes: a header row, then the rows, "\n"-terminated."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -281,13 +282,13 @@ def render_report_files(report: dict, latency: dict | None = None) -> dict[str, 
     agg = report["aggregate"]
     files = {
         "report.json": _json_bytes(report),
-        "summary.csv": _csv_bytes(SUMMARY_COLUMNS, [[agg[c] for c in SUMMARY_COLUMNS]]),
-        "recall_by_shard.csv": _csv_bytes(
+        "summary.csv": csv_bytes(SUMMARY_COLUMNS, [[agg[c] for c in SUMMARY_COLUMNS]]),
+        "recall_by_shard.csv": csv_bytes(
             ["source", "mean_recall"],
             [[f"shard_{row['shard_id']}", row["mean_recall"]] for row in report["recall_by_shard"]]
             + [["routed", agg["mean_recall"]]],
         ),
-        "queries_by_strategy.csv": _csv_bytes(
+        "queries_by_strategy.csv": csv_bytes(
             ["strategy", "total_queries", "total_bytes"],
             [
                 ["naive", agg["total_queries_naive"], agg["bytes_naive"]],

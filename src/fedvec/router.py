@@ -92,6 +92,22 @@ class TrainConfig:
     dropout_rate: float = 0.2
     momentum: float = 0.9
 
+    def __post_init__(self) -> None:
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch_size must be positive")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError("dropout_rate must be in [0, 1)")
+        if not 0.0 < self.lr_min <= self.lr_max:
+            raise ValueError("need 0 < lr_min <= lr_max")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must be in [0, 1)")
+        if self.pos_weight is not None and not (
+            math.isfinite(self.pos_weight) and self.pos_weight > 0.0
+        ):
+            raise ValueError("pos_weight must be finite and positive")
+        if self.cycle_length is not None and self.cycle_length < 1:
+            raise ValueError("cycle_length must be >= 1")
+
 
 @dataclass(frozen=True)
 class EpochStats:
@@ -402,20 +418,6 @@ def train(
         raise ValueError("no training examples")
     if not np.isin(y, (0.0, 1.0)).all():
         raise ValueError("labels must be 0 or 1")
-    if config.epochs < 1 or config.batch_size < 1:
-        raise ValueError("epochs and batch_size must be positive")
-    if not 0.0 <= config.dropout_rate < 1.0:
-        raise ValueError("dropout_rate must be in [0, 1)")
-    if not 0.0 < config.lr_min <= config.lr_max:
-        raise ValueError("need 0 < lr_min <= lr_max")
-    if not 0.0 <= config.momentum < 1.0:
-        raise ValueError("momentum must be in [0, 1)")
-    if config.pos_weight is not None and not (
-        math.isfinite(config.pos_weight) and config.pos_weight > 0.0
-    ):
-        raise ValueError("pos_weight must be finite and positive")
-    if config.cycle_length is not None and config.cycle_length < 1:
-        raise ValueError("cycle_length must be >= 1")
 
     train_q, val_q, _ = split_by_query(qids, split, seed)
     in_train = np.isin(qids, sorted(train_q))

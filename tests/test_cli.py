@@ -68,6 +68,11 @@ def trained_run_with_queries(tmp, ids):
     (tmp / "run" / "queries_train.fvr").write_bytes(vector_file_bytes(ids, np.zeros((len(ids), 4))))
 
 
+def file_snapshot(root):
+    """Every file under `root`: its bytes and modification time."""
+    return {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in root.rglob("*") if p.is_file()}
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("pipeline")
@@ -214,7 +219,7 @@ class TestPipeline:
 class TestFailures:
     def test_bad_k(self, tmp_path, capsys):
         assert run(tmp_path, "--k", "0", "synth") == 2
-        assert "error: k must be >= 1" in capsys.readouterr().err
+        assert "error: bad config: k must be >= 1" in capsys.readouterr().err
 
     def test_bad_threshold(self, tmp_path, capsys):
         assert run(tmp_path, "--threshold", "1.5", "synth") == 2
@@ -243,8 +248,8 @@ class TestFailures:
             ({"k": 10.0}, "bad config: k must be int"),
             ({"seed": True}, "bad config: seed must be int"),
             # The model file stores the seed as an i64.
-            ({"seed": 2**63}, "error: seed must be in [0, 2**63), got 9223372036854775808"),
-            ({"seed": -1}, "error: seed must be in [0, 2**63), got -1"),
+            ({"seed": 2**63}, "error: bad config: seed must be in [0, 2**63), got 9223372036854775808"),
+            ({"seed": -1}, "error: bad config: seed must be in [0, 2**63), got -1"),
             ({"threshold": "0.5"}, "bad config: threshold must be float"),
             ({"out": 5}, "bad config: out must be str"),
             ({"synthetic": {"n_clusters": "3"}}, "bad 'synthetic' config block: n_clusters"),
@@ -283,7 +288,8 @@ class TestFailures:
         doc = {
             "threshold": 1,
             "synthetic": {"center_radius": 8, "points_per_cluster": [200, 800]},
-            "train": {"lr_min": 0, "momentum": 0, "cycle_length": None, "pos_weight": None},
+            "train": {"lr_min": 1, "lr_max": 2, "momentum": 0, "cycle_length": None,
+                      "pos_weight": None},
             "split": {"train_frac": 1, "val_frac": 0, "test_frac": 0},
         }
         (tmp_path / "cfg.json").write_text(json.dumps(doc))
@@ -291,8 +297,50 @@ class TestFailures:
                                   seed=None, out=None)
         cfg = fedvec.cli.load_config(args)
         assert cfg.threshold == 1.0 and cfg.synthetic.center_radius == 8
+        # A float field holds a float, whatever JSON number the file gives.
+        assert type(cfg.threshold) is float and type(cfg.train.lr_min) is float
         assert cfg.train.cycle_length is None and cfg.train.pos_weight is None
         assert cfg.split.train_frac == 1
+
+    @pytest.mark.parametrize("command", ["synth", "import", "label", "train", "eval", "report"])
+    def test_every_command_checks_the_whole_config_first(self, pipeline, tmp_path, capsys, command):
+        """In a finished run, where each command would succeed, an unknown
+        top-level key, an out-of-range value at any level or a bad flag
+        ends the command in exit 2 before it writes anything."""
+        shutil.copytree(pipeline, tmp_path, dirs_exist_ok=True)
+        before = file_snapshot(tmp_path)
+        cases = [
+            ({**CONFIG, "treshold": 0.9}, [], "unexpected keyword argument 'treshold'"),
+            ({**CONFIG, "threshold": 1.5}, [], "bad config: threshold must be in [0, 1]"),
+            ({**CONFIG, "synthetic": {**CONFIG["synthetic"], "n_clusters": 0}}, [],
+             "bad 'synthetic' config block: synthetic spec fields must be positive"),
+            ({**CONFIG, "train": {**CONFIG["train"], "lr_min": 0}}, [],
+             "bad 'train' config block: need 0 < lr_min <= lr_max"),
+            ({**CONFIG, "split": {"train_frac": 0.5}}, [],
+             "bad 'split' config block: split fractions must be nonnegative and sum to 1"),
+            (CONFIG, ["--k", "0"], "bad config: k must be >= 1"),
+            (CONFIG, ["--seed", "-1"], "bad config: seed must be in [0, 2**63), got -1"),
+            (CONFIG, ["--threshold", "nan"], "bad config: threshold must be float, got NaN"),
+        ]
+        for doc, flags, message in cases:
+            (tmp_path / "bad.json").write_text(json.dumps(doc))
+            assert run(tmp_path, "--config", "bad.json", *flags, command) == 2, (doc, flags)
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and message in err, (doc, flags, err)
+            (tmp_path / "bad.json").unlink()
+            assert file_snapshot(tmp_path) == before, (doc, flags)
+
+    def test_eval_rejects_model_of_another_seed(self, pipeline, tmp_path, capsys):
+        """The split is drawn from the seed, so another seed's test queries
+        would include the model's training queries."""
+        shutil.copytree(pipeline, tmp_path, dirs_exist_ok=True)
+        before = file_snapshot(tmp_path)
+        seed = CONFIG["seed"] + 1
+        assert run(tmp_path, "--config", "cfg.json", "--seed", str(seed), "eval") == 2
+        assert capsys.readouterr().err == (
+            f"error: run/router.rrm: trained with seed {CONFIG['seed']}, not {seed}; rerun train\n"
+        )
+        assert file_snapshot(tmp_path) == before
 
     def test_empty_query_file(self, tmp_path, capsys):
         trained_run_with_queries(tmp_path, np.zeros(0, dtype=np.int64))
@@ -461,7 +509,8 @@ class TestFailures:
         bad = {**CONFIG, "train": {**CONFIG["train"], "momentum": 3.0}}
         (tmp_path / "cfg.json").write_text(json.dumps(bad))
         assert run(tmp_path, "--config", "cfg.json", "train") == 2
-        assert "error: momentum must be in [0, 1)" in capsys.readouterr().err
+        assert ("error: bad 'train' config block: momentum must be in [0, 1)"
+                in capsys.readouterr().err)
         assert not (tmp_path / "run" / "router.rrm").exists()
 
     def test_empty_training_split(self, tmp_path, capsys):
