@@ -1,11 +1,14 @@
 """Command-line pipeline: synth -> import -> label -> train -> eval -> report.
 
 Configuration comes from a JSON file (--config); --k/--threshold/--seed/--out
-override it. The top-level seed is the only one: it is passed to every stage
-that draws numbers, which derives named substreams from it, so any command
-rerun with the same config+seed writes identical bytes (traces and
-latency.json carry wall-clock fields and are the documented exception).
-Commands stage all output in memory and write nothing until they succeed.
+override it. Each command is a function of that config alone: it reads and
+writes only the paths the config names, and rejects an artifact made under
+another seed or threshold. The top-level seed is the only one: it is passed
+to every stage that draws numbers, which derives named substreams from it,
+so any command rerun with the same config+seed writes identical bytes
+(traces and latency.json carry wall-clock fields and are the documented
+exception). Commands stage all output in memory and write nothing until
+they succeed.
 """
 
 from __future__ import annotations
@@ -181,14 +184,15 @@ def cmd_synth(cfg: RunConfig) -> None:
     data = generate_synthetic(cfg.synthetic, cfg.seed)
     shards = kmeans_shard(data.corpus, cfg.synthetic.n_clusters, cfg.seed)
 
+    # Manifest paths are relative to the manifest's directory.
     files: dict[Path, bytes] = {}
     shard_paths: dict[int, str] = {}
     for shard in shards:
         rel = f"shards/shard_{shard.shard_id:03d}.fvr"
         shard_paths[shard.shard_id] = rel
-        files[cfg.out / rel] = vector_file_bytes(shard.ids, shard.vectors)
+        files[cfg.manifest.parent / rel] = vector_file_bytes(shard.ids, shard.vectors)
 
-    files[cfg.out / "manifest.json"] = manifest_bytes(cfg.synthetic.dim, shard_paths)
+    files[cfg.manifest] = manifest_bytes(cfg.synthetic.dim, shard_paths)
     files[cfg.queries_train] = vector_file_bytes(
         np.arange(len(data.train_queries)), data.train_queries
     )
@@ -205,10 +209,9 @@ def cmd_synth(cfg: RunConfig) -> None:
     )
 
 
-def cmd_import(cfg: RunConfig, manifest: Path | None) -> None:
-    path = manifest or cfg.manifest
-    shards = import_shards(path)
-    print(f"import: {len(shards)} shards from {path}")
+def cmd_import(cfg: RunConfig) -> None:
+    shards = import_shards(cfg.manifest)
+    print(f"import: {len(shards)} shards from {cfg.manifest}")
     for s in shards:
         print(
             f"  shard {s.shard_id}: {s.stats.count} vectors, dim {s.dim}, "
@@ -278,8 +281,8 @@ def cmd_train(cfg: RunConfig) -> None:
     result = train(
         table["features"], table["label"], table["query_id"], cfg.split, cfg.train, cfg.seed
     )
-    # The stored threshold is the one route() selects with, so serving
-    # agrees with eval, which selects with the config's.
+    # The stored threshold is the one route() selects with; eval rejects a
+    # model whose threshold is not the config's, so serving agrees with it.
     model = replace(result.model, threshold=cfg.threshold)
 
     log = csv_bytes(
@@ -317,26 +320,34 @@ def cmd_eval(cfg: RunConfig) -> None:
         raise ValueError(
             f"{cfg.model_path}: trained with seed {model.seed}, not {cfg.seed}; rerun train"
         )
+    # route() selects with the model's threshold: scoring another one would
+    # report selections that serving never makes.
+    if model.threshold != cfg.threshold:
+        raise ValueError(
+            f"{cfg.model_path}: trained with threshold {model.threshold}, "
+            f"not {cfg.threshold}; rerun train"
+        )
     # label's counts of each query's naive top-k hits per shard. A
     # selection's merged top-k holds every naive hit from a selected shard
     # (it ranks no lower among fewer candidates) and none from the others,
     # so its recall is the selected shards' share of the naive top-k.
     hit_counts = _read_hits(cfg, qids, shards)[keep]
     qids, qvecs = qids[keep], qvecs[keep]
-    rows = feature_rows(qvecs, stats)
     returned = np.array([min(cfg.k, s.stats.count) for s in shards])
 
-    # The router runs over stacks of whole queries, at most 256 rows each
-    # (one query's rows if it has more), which bounds inference memory; a
-    # query's probabilities have the bits of its own call, and its routing
-    # latency is its stack's time shared equally.
+    # Feature assembly and the router run over stacks of whole queries, at
+    # most 256 rows each (one query's rows if it has more), which bounds
+    # memory; a query's feature rows and probabilities have the bits of its
+    # own call, and its routing latency is its stack's time shared equally.
     n_q = len(qids)
     chunk = max(1, 256 // n_shards)
     probabilities = np.empty((n_q, n_shards))
     route_latencies: list[int] = []
     for lo in range(0, n_q, chunk):
         t0 = time.perf_counter_ns()
-        probabilities[lo : lo + chunk] = predict_batch(model, rows[lo : lo + chunk])
+        probabilities[lo : lo + chunk] = predict_batch(
+            model, feature_rows(qvecs[lo : lo + chunk], stats)
+        )
         elapsed = time.perf_counter_ns() - t0
         size = min(chunk, n_q - lo)
         route_latencies += [elapsed // size] * size
@@ -372,7 +383,7 @@ def cmd_eval(cfg: RunConfig) -> None:
 
     # Batch-32 inference figure: median of 100 timed runs on real feature rows.
     pick = np.arange(32)
-    bench_rows = rows[pick % len(qids), pick % n_shards]
+    bench_rows = feature_rows(qvecs[pick % len(qids)], stats)[pick, pick % n_shards]
     samples = []
     for _ in range(100):
         t0 = time.perf_counter_ns()
@@ -406,9 +417,9 @@ def _print_quality(quality: dict) -> None:
         print(f"  [{'PASS' if row['pass'] else 'FAIL'}] {name} {value} {bound}")
 
 
-def cmd_report(cfg: RunConfig, threshold: float | None) -> None:
-    """Rebuild the report files at the threshold the traces were made at;
-    `threshold`, the --threshold flag if given, must be that one."""
+def cmd_report(cfg: RunConfig) -> None:
+    """Rebuild the report files from the traces, which must have been made
+    at the config's threshold and k."""
     try:
         lines = cfg.traces_path.read_text().splitlines()
     except OSError as exc:
@@ -418,12 +429,12 @@ def cmd_report(cfg: RunConfig, threshold: float | None) -> None:
         report = report_from_traces(traces)
     except ValueError as exc:
         raise ValueError(f"{cfg.traces_path}: {exc}") from exc
-    made_at = report["classifier"]["threshold"]
-    if threshold is not None and threshold != made_at:
-        raise ValueError(
-            f"--threshold {threshold} differs from the threshold {made_at} "
-            f"the traces in {cfg.traces_path} were made at"
-        )
+    made_at = {"threshold": report["classifier"]["threshold"], "k": report["aggregate"]["k"]}
+    for name, value in made_at.items():
+        if value != getattr(cfg, name):
+            raise ValueError(
+                f"{cfg.traces_path}: made at {name} {value}, not {getattr(cfg, name)}; rerun eval"
+            )
     files = {
         cfg.out / name: blob for name, blob in render_report_files(report).items()
     }
@@ -444,8 +455,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("synth", help="generate a synthetic sharded corpus + queries")
-    p_import = sub.add_parser("import", help="validate and summarize a shard manifest")
-    p_import.add_argument("--manifest", help="manifest path (default: config)")
+    sub.add_parser("import", help="validate and summarize the config's shard manifest")
     sub.add_parser("label", help="derive ground-truth shard labels from naive search")
     sub.add_parser("train", help="train the relevance router")
     sub.add_parser("eval", help="run naive/oracle/predicted routing on the test split")
@@ -453,19 +463,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args)
-        if args.command == "synth":
-            cmd_synth(cfg)
-        elif args.command == "import":
-            cmd_import(cfg, Path(args.manifest) if args.manifest else None)
-        elif args.command == "label":
-            cmd_label(cfg)
-        elif args.command == "train":
-            cmd_train(cfg)
-        elif args.command == "eval":
-            cmd_eval(cfg)
-        elif args.command == "report":
-            cmd_report(cfg, args.threshold)
+        # Looked up at call time, so a wrapper set on this module (as
+        # perfbench's tracer sets them) is the function that runs.
+        globals()[f"cmd_{args.command}"](load_config(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,6 +2,7 @@
 
 import argparse
 import copy
+import inspect
 import json
 import os
 import shutil
@@ -171,6 +172,22 @@ class TestPipeline:
         (out / "report.json").unlink()
         assert run(pipeline, "--config", "cfg.json", "report") == 0
         assert (out / "report.json").read_bytes() == want
+
+    def test_synth_writes_the_config_manifest(self, pipeline, tmp_path, capsys):
+        """synth writes the manifest where the config's `manifest` points,
+        its shards beside it, with the default layout's bytes; every later
+        command then runs on that corpus, and nothing lands at
+        run/manifest.json."""
+        (tmp_path / "cfg.json").write_text(json.dumps({**CONFIG, "manifest": "corpus/manifest.json"}))
+        for command in ("synth", "import", "label", "train", "eval", "report"):
+            assert run(tmp_path, "--config", "cfg.json", command) == 0, command
+        assert "from corpus/manifest.json" in capsys.readouterr().out
+        corpus = tmp_path / "corpus"
+        want = {p.relative_to(pipeline / "run"): p.read_bytes()
+                for p in [pipeline / "run" / "manifest.json", *(pipeline / "run" / "shards").iterdir()]}
+        assert {p.relative_to(corpus): p.read_bytes() for p in corpus.rglob("*") if p.is_file()} == want
+        assert not (tmp_path / "run" / "manifest.json").exists()
+        assert not (tmp_path / "run" / "shards").exists()
 
     def test_import_summarizes_shards(self, pipeline, capsys):
         assert run(pipeline, "--config", "cfg.json", "import") == 0
@@ -342,6 +359,40 @@ class TestFailures:
         )
         assert file_snapshot(tmp_path) == before
 
+    def test_eval_rejects_model_of_another_threshold(self, pipeline, tmp_path, capsys):
+        """route() selects with the model's threshold, so eval at another
+        one would score selections that serving never makes."""
+        shutil.copytree(pipeline, tmp_path, dirs_exist_ok=True)
+        assert run(tmp_path, "--config", "cfg.json", "--threshold", "0.3", "train") == 0
+        capsys.readouterr()
+        before = file_snapshot(tmp_path)
+        assert run(tmp_path, "--config", "cfg.json", "eval") == 2
+        assert capsys.readouterr().err == (
+            "error: run/router.rrm: trained with threshold 0.3, not 0.5; rerun train\n"
+        )
+        assert file_snapshot(tmp_path) == before
+
+    def test_eval_rejects_empty_test_split(self, pipeline, tmp_path, capsys):
+        shutil.copytree(pipeline, tmp_path, dirs_exist_ok=True)
+        doc = {**CONFIG, "split": {"train_frac": 0.5, "val_frac": 0.5, "test_frac": 0}}
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        before = file_snapshot(tmp_path)
+        assert run(tmp_path, "--config", "cfg.json", "eval") == 2
+        assert capsys.readouterr().err == "error: test split is empty\n"
+        assert file_snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("command", ["synth", "import", "label", "train", "eval", "report"])
+    def test_main_runs_the_module_command_at_call_time(self, tmp_path, monkeypatch, command):
+        """main() calls cmd_<command>(cfg) as the module holds it when
+        called, so a wrapper set on the module (perfbench's tracer sets
+        them) is what runs."""
+        assert list(inspect.signature(getattr(fedvec.cli, f"cmd_{command}")).parameters) == ["cfg"]
+        calls = []
+        monkeypatch.setattr(fedvec.cli, f"cmd_{command}", calls.append)
+        assert run(tmp_path, "--k", "7", command) == 0
+        assert [type(cfg) for cfg in calls] == [fedvec.cli.RunConfig] and calls[0].k == 7
+        assert not any(tmp_path.iterdir())
+
     def test_empty_query_file(self, tmp_path, capsys):
         trained_run_with_queries(tmp_path, np.zeros(0, dtype=np.int64))
         for command in ("label", "eval"):
@@ -463,18 +514,29 @@ class TestFailures:
             assert not any((out / f).exists() for f in REPORT_FILES), name
 
     def test_report_threshold_is_the_traces_own(self, pipeline, tmp_path, capsys):
-        """Traces made at 0.5: `report` rebuilds eval's files at 0.5, with or
-        without --threshold 0.5; --threshold 0.3 ends in exit 2 and writes
-        nothing, instead of scoring the classifier at a threshold the
-        recorded selections were not made with."""
+        """Traces made at 0.5 and k=3: `report` rebuilds eval's files at 0.5,
+        with or without --threshold 0.5; a config threshold of 0.3, from the
+        flag or the file, or a k of 5 ends in exit 2 and writes nothing,
+        instead of scoring the classifier at a threshold the recorded
+        selections were not made with."""
         want = {name: (pipeline / "run" / name).read_bytes() for name in REPORT_FILES}
         (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
+        (tmp_path / "at_03.json").write_text(json.dumps({**CONFIG, "threshold": 0.3}))
         out = tmp_path / "run"
         out.mkdir()
         (out / "traces.jsonl").write_bytes((pipeline / "run" / "traces.jsonl").read_bytes())
-        assert run(tmp_path, "--config", "cfg.json", "--threshold", "0.3", "report") == 2
-        assert capsys.readouterr().err.startswith("error: --threshold 0.3 differs from the threshold 0.5")
-        assert not any((out / f).exists() for f in REPORT_FILES)
+        before = file_snapshot(tmp_path)
+        cases = [
+            (["--config", "at_03.json"], "threshold 0.5, not 0.3"),
+            (["--config", "cfg.json", "--threshold", "0.3"], "threshold 0.5, not 0.3"),
+            (["--config", "cfg.json", "--k", "5"], "k 3, not 5"),
+        ]
+        for flags, made_at in cases:
+            assert run(tmp_path, *flags, "report") == 2
+            assert capsys.readouterr().err == (
+                f"error: run/traces.jsonl: made at {made_at}; rerun eval\n"
+            ), flags
+            assert file_snapshot(tmp_path) == before
         for flags in ([], ["--threshold", "0.5"]):
             assert run(tmp_path, "--config", "cfg.json", *flags, "report") == 0
             assert {name: (out / name).read_bytes() for name in REPORT_FILES} == want
