@@ -3,12 +3,12 @@
 Configuration comes from a JSON file (--config); --k/--threshold/--seed/--out
 override it. Each command is a function of that config alone: it reads and
 writes only the paths the config names, and rejects an artifact made under
-another seed or threshold. The top-level seed is the only one: it is passed
-to every stage that draws numbers, which derives named substreams from it,
-so any command rerun with the same config+seed writes identical bytes
-(traces and latency.json carry wall-clock fields and are the documented
-exception). Commands stage all output in memory and write nothing until
-they succeed.
+another config (`_check_made_under`). The top-level seed is the only one: it
+is passed to every stage that draws numbers, which derives named substreams
+from it, so any command rerun with the same config+seed writes identical
+bytes (traces and latency.json carry wall-clock fields and are the
+documented exception). Commands stage all output in memory and write nothing
+until they succeed.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         try:
             doc = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
             raise ValueError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ValueError(f"config {args.config} is not a JSON object")
@@ -180,6 +180,22 @@ def _read_queries(path: Path) -> tuple[np.ndarray, np.ndarray]:
     return qids, qvecs
 
 
+def _read_npy(path: Path, what: str) -> np.ndarray:
+    """One of label's arrays, read from `path`."""
+    try:
+        return np.load(path)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read {what} {path}: {exc}; run label first") from exc
+
+
+def _check_made_under(path: Path, made: str, stage: str, **values: tuple) -> None:
+    """Reject an artifact made under another config: each `name=(made_value,
+    config_value)` pair must agree, or rerunning `stage` mends it."""
+    for name, (value, want) in values.items():
+        if value != want:
+            raise ValueError(f"{path}: {made} {name} {value}, not {want}; rerun {stage}")
+
+
 def cmd_synth(cfg: RunConfig) -> None:
     data = generate_synthetic(cfg.synthetic, cfg.seed)
     shards = kmeans_shard(data.corpus, cfg.synthetic.n_clusters, cfg.seed)
@@ -199,13 +215,18 @@ def cmd_synth(cfg: RunConfig) -> None:
     files[cfg.queries_eval] = vector_file_bytes(
         np.arange(len(data.eval_queries)), data.eval_queries
     )
+    # Two config paths naming one file would leave only the last one's data.
+    if len({path.resolve() for path in files}) < len(shards) + 3:
+        raise ValueError("config paths clash: manifest, queries_train, queries_eval "
+                         "and the shard files must name distinct files")
     _write_all(files)
 
     sizes = sorted(s.stats.count for s in shards)
     print(
         f"synth: {data.corpus.shape[0]} vectors (dim {cfg.synthetic.dim}) in "
         f"{len(shards)} shards, sizes {sizes[0]}..{sizes[-1]}; "
-        f"{len(data.train_queries)} train + {len(data.eval_queries)} eval queries -> {cfg.out}"
+        f"{len(data.train_queries)} train + {len(data.eval_queries)} eval queries "
+        f"-> {cfg.manifest.parent}"
     )
 
 
@@ -248,10 +269,7 @@ def _read_hits(cfg: RunConfig, qids: np.ndarray, shards: list) -> np.ndarray:
     shards in its order, list exactly these queries, and split each query's
     top-k, so no count is negative and each row sums to min(k, total rows)."""
     path = cfg.hits_path
-    try:
-        hits = np.load(path)
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"cannot read hit counts {path}: {exc}; run label first") from exc
+    hits = _read_npy(path, "hit counts")
     want = _hits_dtype(shards)
     if hits.dtype != want:
         raise ValueError(
@@ -271,10 +289,7 @@ def _read_hits(cfg: RunConfig, qids: np.ndarray, shards: list) -> np.ndarray:
 
 
 def cmd_train(cfg: RunConfig) -> None:
-    try:
-        table = np.load(cfg.labels_path)
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"cannot read labels {cfg.labels_path}: {exc}") from exc
+    table = _read_npy(cfg.labels_path, "labels")
     missing = {"query_id", "label", "features"} - set(table.dtype.names or ())
     if missing:
         raise ValueError(f"{cfg.labels_path}: not a labels table, missing fields {sorted(missing)}")
@@ -315,18 +330,11 @@ def cmd_eval(cfg: RunConfig) -> None:
             f"shards of dim {dim} give {feature_dim(dim)}"
         )
     # The split is drawn from the seed: another seed's test queries include
-    # the model's training queries.
-    if model.seed != cfg.seed:
-        raise ValueError(
-            f"{cfg.model_path}: trained with seed {model.seed}, not {cfg.seed}; rerun train"
-        )
-    # route() selects with the model's threshold: scoring another one would
-    # report selections that serving never makes.
-    if model.threshold != cfg.threshold:
-        raise ValueError(
-            f"{cfg.model_path}: trained with threshold {model.threshold}, "
-            f"not {cfg.threshold}; rerun train"
-        )
+    # the model's training queries. route() selects with the model's
+    # threshold: scoring another one would report selections that serving
+    # never makes.
+    _check_made_under(cfg.model_path, "trained with", "train",
+                      seed=(model.seed, cfg.seed), threshold=(model.threshold, cfg.threshold))
     # label's counts of each query's naive top-k hits per shard. A
     # selection's merged top-k holds every naive hit from a selected shard
     # (it ranks no lower among fewer candidates) and none from the others,
@@ -391,12 +399,10 @@ def cmd_eval(cfg: RunConfig) -> None:
         samples.append(time.perf_counter_ns() - t0)
     latency_block = summarize_latency(route_latencies, float(np.median(samples)))
 
-    report = report_from_traces(traces)
-    files = {
-        cfg.traces_path: ("\n".join(json.dumps(t, sort_keys=True) for t in traces) + "\n").encode()
-    }
-    for name, blob in render_report_files(report, latency_block).items():
-        files[cfg.out / name] = blob
+    report, files = _report(cfg, traces, latency_block)
+    files[cfg.traces_path] = (
+        "\n".join(json.dumps(t, sort_keys=True) for t in traces) + "\n"
+    ).encode()
     _write_all(files)
 
     agg = report["aggregate"]
@@ -410,6 +416,21 @@ def cmd_eval(cfg: RunConfig) -> None:
     _print_quality(report["quality"])
 
 
+def _report(cfg: RunConfig, traces: list, latency: dict | None = None) -> tuple[dict, dict]:
+    """The report folded from the traces, which must have been made at the
+    config's threshold and k, and its files under `cfg.out` (latency.json
+    too when `latency` is given)."""
+    try:
+        report = report_from_traces(traces)
+    except ValueError as exc:
+        raise ValueError(f"{cfg.traces_path}: {exc}") from exc
+    _check_made_under(cfg.traces_path, "made at", "eval",
+                      threshold=(report["classifier"]["threshold"], cfg.threshold),
+                      k=(report["aggregate"]["k"], cfg.k))
+    files = {cfg.out / name: blob for name, blob in render_report_files(report, latency).items()}
+    return report, files
+
+
 def _print_quality(quality: dict) -> None:
     for name, row in quality.items():
         bound = f">= {row['min']}" if "min" in row else f"<= {row['max']}"
@@ -421,23 +442,11 @@ def cmd_report(cfg: RunConfig) -> None:
     """Rebuild the report files from the traces, which must have been made
     at the config's threshold and k."""
     try:
-        lines = cfg.traces_path.read_text().splitlines()
-    except OSError as exc:
+        traces = [json.loads(line) for line in cfg.traces_path.read_text().splitlines()
+                  if line.strip()]
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
         raise ValueError(f"cannot read traces {cfg.traces_path}: {exc}") from exc
-    try:
-        traces = [json.loads(line) for line in lines if line.strip()]
-        report = report_from_traces(traces)
-    except ValueError as exc:
-        raise ValueError(f"{cfg.traces_path}: {exc}") from exc
-    made_at = {"threshold": report["classifier"]["threshold"], "k": report["aggregate"]["k"]}
-    for name, value in made_at.items():
-        if value != getattr(cfg, name):
-            raise ValueError(
-                f"{cfg.traces_path}: made at {name} {value}, not {getattr(cfg, name)}; rerun eval"
-            )
-    files = {
-        cfg.out / name: blob for name, blob in render_report_files(report).items()
-    }
+    report, files = _report(cfg, traces)
     _write_all(files)
     print(f"report: rebuilt {len(files)} files from {len(traces)} trace records")
     _print_quality(report["quality"])

@@ -78,11 +78,11 @@ def read_manifest(path: str | Path) -> tuple[int, list[tuple[int, Path]]]:
     The dimension must be a positive JSON integer, each shard_id a JSON
     integer and each path a string."""
     path = Path(path)
-    doc = json.loads(path.read_text())
     try:
+        doc = json.loads(path.read_text())
         dim = doc["dimension"]
         entries = [(s["shard_id"], s["path"]) for s in doc["shards"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
         raise ValueError(f"{path}: malformed manifest: {exc}") from exc
     if type(dim) is not int or dim < 1:
         raise ValueError(f"{path}: dimension must be a positive integer, got {json.dumps(dim)}")

@@ -181,7 +181,9 @@ class TestPipeline:
         (tmp_path / "cfg.json").write_text(json.dumps({**CONFIG, "manifest": "corpus/manifest.json"}))
         for command in ("synth", "import", "label", "train", "eval", "report"):
             assert run(tmp_path, "--config", "cfg.json", command) == 0, command
-        assert "from corpus/manifest.json" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "eval queries -> corpus\n" in out
+        assert "from corpus/manifest.json" in out
         corpus = tmp_path / "corpus"
         want = {p.relative_to(pipeline / "run"): p.read_bytes()
                 for p in [pipeline / "run" / "manifest.json", *(pipeline / "run" / "shards").iterdir()]}
@@ -245,6 +247,27 @@ class TestFailures:
     def test_unreadable_config(self, tmp_path, capsys):
         assert run(tmp_path, "--config", "missing.json", "synth") == 2
         assert "cannot read config" in capsys.readouterr().err
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_bytes(b'{"seed": 1}\xff')
+        assert run(tmp_path, "--config", "cfg.json", "synth") == 2
+        assert capsys.readouterr().err.startswith("error: cannot read config cfg.json: ")
+        assert not (tmp_path / "run").exists()
+
+    def test_synth_rejects_config_paths_naming_one_file(self, tmp_path, capsys):
+        """queries_eval naming queries_train's file would leave only the eval
+        queries there, for label to label: synth exits 2 and writes nothing."""
+        for clash in ({"queries_eval": "run/queries_train.fvr"},
+                      {"queries_train": "./run/manifest.json"},
+                      {"queries_eval": "run/shards/../shards/shard_001.fvr"}):
+            (tmp_path / "cfg.json").write_text(json.dumps({**CONFIG, **clash}))
+            before = file_snapshot(tmp_path)
+            assert run(tmp_path, "--config", "cfg.json", "synth") == 2, clash
+            assert capsys.readouterr().err == (
+                "error: config paths clash: manifest, queries_train, queries_eval "
+                "and the shard files must name distinct files\n"
+            ), clash
+            assert file_snapshot(tmp_path) == before, clash
 
     def test_bad_config_block(self, tmp_path, capsys):
         cases = [
@@ -424,6 +447,20 @@ class TestFailures:
         (out / "manifest.json").write_text(json.dumps({"dimension": 4, "shards": [shard]}))
         assert run(tmp_path, "--config", "cfg.json", "import") == 0
 
+    def test_unparsable_manifest_names_its_path(self, pipeline, tmp_path, capsys):
+        """A truncated manifest and one that is not UTF-8 end `import` and
+        `label` in exit 2, with the manifest's path in the error."""
+        good = (pipeline / "run" / "manifest.json").read_bytes()
+        (tmp_path / "cfg.json").write_text(json.dumps({**CONFIG, "manifest": "m/manifest.json"}))
+        (tmp_path / "m").mkdir()
+        for name, text in (("truncated", good[: len(good) // 2]), ("not UTF-8", b"\xff" + good)):
+            (tmp_path / "m" / "manifest.json").write_bytes(text)
+            for command in ("import", "label"):
+                assert run(tmp_path, "--config", "cfg.json", command) == 2, (name, command)
+                assert capsys.readouterr().err.startswith(
+                    "error: m/manifest.json: malformed manifest: "
+                ), (name, command)
+
     def test_eval_without_model_leaves_no_partial_output(self, tmp_path):
         (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
         assert run(tmp_path, "--config", "cfg.json", "synth") == 0
@@ -438,6 +475,17 @@ class TestFailures:
         (tmp_path / "cfg.json").write_text(json.dumps({"out": "run"}))
         assert run(tmp_path, "--config", "cfg.json", "report") == 2
         assert "cannot read traces" in capsys.readouterr().err
+
+    def test_traces_not_utf8(self, pipeline, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "traces.jsonl").write_bytes(
+            b"\xff" + (pipeline / "run" / "traces.jsonl").read_bytes()
+        )
+        before = file_snapshot(tmp_path)
+        assert run(tmp_path, "--config", "cfg.json", "report") == 2
+        assert capsys.readouterr().err.startswith("error: cannot read traces run/traces.jsonl: ")
+        assert file_snapshot(tmp_path) == before
 
     def test_malformed_traces_for_report(self, pipeline, tmp_path, capsys):
         """Each broken copy of the pipeline's traces ends `report` in exit 2
@@ -540,6 +588,13 @@ class TestFailures:
         for flags in ([], ["--threshold", "0.5"]):
             assert run(tmp_path, "--config", "cfg.json", *flags, "report") == 0
             assert {name: (out / name).read_bytes() for name in REPORT_FILES} == want
+
+    def test_train_without_labels(self, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
+        assert run(tmp_path, "--config", "cfg.json", "train") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read labels run/labels.npy: ")
+        assert err.endswith("; run label first\n")
 
     def test_labels_without_table_fields(self, tmp_path, capsys):
         (tmp_path / "run").mkdir()
