@@ -36,6 +36,7 @@ from .features import feature_dim, feature_rows
 from .federation import generate_labels, select_shards, selection_cost
 from .metrics import csv_bytes, report_from_traces, render_report_files, summarize_latency
 from .router import TrainConfig, load_model, predict_batch, serialize_model, train
+from .store import ShardStats
 from .store import search_top_k  # noqa: F401  (perfbench/selftest.py checks tracing wraps it here)
 from .vecio import manifest_bytes, read_vectors, vector_file_bytes
 
@@ -149,20 +150,27 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     return _build(RunConfig, doc, "bad config")
 
 
-def _write_all(files: dict[Path, bytes | np.ndarray]) -> None:
-    """All-or-nothing output: every file lands, or none survive. An array is
-    written in .npy format, straight from memory."""
+def _write_all(files: dict[Path, bytes | np.ndarray | list[bytes]]) -> None:
+    """All-or-nothing output: every file lands, or none survive, half-written
+    ones included. An array is written in .npy format and a list of byte
+    chunks chunk by chunk, both straight from memory."""
     written: list[Path] = []
     try:
         for path, data in files.items():
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp = path.with_name(path.name + ".tmp")
-            with open(tmp, "wb") as fh:
-                if isinstance(data, np.ndarray):
-                    np.save(fh, data)
-                else:
-                    fh.write(data)
-            os.replace(tmp, path)
+            try:
+                with open(tmp, "wb") as fh:
+                    if isinstance(data, np.ndarray):
+                        np.save(fh, data)
+                    elif isinstance(data, list):
+                        fh.writelines(data)
+                    else:
+                        fh.write(data)
+                os.replace(tmp, path)
+            except BaseException:
+                tmp.unlink(missing_ok=True)
+                raise
             written.append(path)
     except BaseException:
         for path in written:
@@ -240,17 +248,18 @@ def cmd_import(cfg: RunConfig) -> None:
         )
 
 
-def _hits_dtype(shards: list) -> np.dtype:
+def _hits_dtype(shard_ids: list[int]) -> np.dtype:
     """hits.npy's record: a query id, then its naive top-k hit count in each
     shard, one field per shard named by its id, in manifest order."""
-    return np.dtype([("query_id", "<i8")] + [(f"shard_{s.shard_id}", "<i8") for s in shards])
+    return np.dtype([("query_id", "<i8")] + [(f"shard_{i}", "<i8") for i in shard_ids])
 
 
 def cmd_label(cfg: RunConfig) -> None:
     shards = import_shards(cfg.manifest)
     qids, qvecs = _read_queries(cfg.queries_train)
     table, counts = generate_labels(shards, qids, qvecs, cfg.k)
-    hits = np.column_stack([qids, counts]).astype("<i8").view(_hits_dtype(shards)).ravel()
+    shard_ids = [s.shard_id for s in shards]
+    hits = np.column_stack([qids, counts]).astype("<i8").view(_hits_dtype(shard_ids)).ravel()
 
     _write_all({cfg.labels_path: table, cfg.hits_path: hits})
 
@@ -263,14 +272,22 @@ def cmd_label(cfg: RunConfig) -> None:
     )
 
 
-def _read_hits(cfg: RunConfig, qids: np.ndarray, shards: list) -> np.ndarray:
+def _shard_stats(cfg: RunConfig) -> tuple[list[int], list[ShardStats]]:
+    """The manifest's shard ids and stats, in its order. train and eval scan
+    no shard, so they keep no shard's vectors."""
+    shards = import_shards(cfg.manifest)
+    return [s.shard_id for s in shards], [s.stats for s in shards]
+
+
+def _read_hits(cfg: RunConfig, qids: np.ndarray, shard_ids: list[int],
+               stats: list[ShardStats]) -> np.ndarray:
     """label's (Q, n_shards) hit counts for `qids`, the queries_train ids in
     file order, checked: the records must be hits.npy's for the manifest's
     shards in its order, list exactly these queries, and split each query's
     top-k, so no count is negative and each row sums to min(k, total rows)."""
     path = cfg.hits_path
     hits = _read_npy(path, "hit counts")
-    want = _hits_dtype(shards)
+    want = _hits_dtype(shard_ids)
     if hits.dtype != want:
         raise ValueError(
             f"{path}: expected records {want.descr}, got {hits.dtype.descr}; rerun label"
@@ -279,7 +296,7 @@ def _read_hits(cfg: RunConfig, qids: np.ndarray, shards: list) -> np.ndarray:
         raise ValueError(f"{path}: query ids differ from {cfg.queries_train}; rerun label")
     # The fields are packed <i8, so the records view as a (Q, 1 + n_shards) matrix.
     counts = hits.view("<i8").reshape(len(qids), -1)[:, 1:]
-    top = min(cfg.k, sum(s.stats.count for s in shards))
+    top = min(cfg.k, sum(s.count for s in stats))
     if (counts < 0).any() or (counts.sum(axis=1) != top).any():
         raise ValueError(
             f"{path}: counts do not split each query's top-{top} over the shards; "
@@ -288,14 +305,26 @@ def _read_hits(cfg: RunConfig, qids: np.ndarray, shards: list) -> np.ndarray:
     return counts
 
 
+def _train_rows(cfg: RunConfig) -> list[np.ndarray]:
+    """train's inputs: the feature rows and labels of the split's train
+    queries, then of its validation queries. A split's rows are one per
+    (query, shard) pair in query-file then manifest order, the rows label's
+    table holds for it, and a pair is labelled 1 iff the shard holds one of
+    the query's naive hits in label's counts."""
+    shard_ids, stats = _shard_stats(cfg)
+    qids, qvecs = _read_queries(cfg.queries_train)
+    counts = _read_hits(cfg, qids, shard_ids, stats)
+    rows = []
+    for split_q in split_by_query(qids, cfg.split, cfg.seed)[:2]:
+        keep = np.isin(qids, sorted(split_q))
+        x = feature_rows(qvecs[keep], stats)
+        rows += [x.reshape(-1, x.shape[-1]), (counts[keep] > 0).ravel()]
+    return rows
+
+
 def cmd_train(cfg: RunConfig) -> None:
-    table = _read_npy(cfg.labels_path, "labels")
-    missing = {"query_id", "label", "features"} - set(table.dtype.names or ())
-    if missing:
-        raise ValueError(f"{cfg.labels_path}: not a labels table, missing fields {sorted(missing)}")
-    result = train(
-        table["features"], table["label"], table["query_id"], cfg.split, cfg.train, cfg.seed
-    )
+    rows = _train_rows(cfg)
+    result = train(*rows, cfg.train, cfg.seed)
     # The stored threshold is the one route() selects with; eval rejects a
     # model whose threshold is not the config's, so serving agrees with it.
     model = replace(result.model, threshold=cfg.threshold)
@@ -307,13 +336,13 @@ def cmd_train(cfg: RunConfig) -> None:
     _write_all({cfg.model_path: serialize_model(model), cfg.out / "training_log.csv": log})
     best = result.history[result.best_epoch - 1]
     print(
-        f"train: {len(result.history)} epochs on {len(table)} rows; "
+        f"train: {len(result.history)} epochs on {len(rows[0])} training rows; "
         f"best epoch {result.best_epoch} (val accuracy {best.val_accuracy:.4f}) -> {cfg.model_path}"
     )
 
 
 def cmd_eval(cfg: RunConfig) -> None:
-    shards = import_shards(cfg.manifest)
+    shard_ids, stats = _shard_stats(cfg)
     model = load_model(cfg.model_path)
     qids, qvecs = _read_queries(cfg.queries_train)
     _, _, test_q = split_by_query(qids, cfg.split, cfg.seed)
@@ -321,9 +350,8 @@ def cmd_eval(cfg: RunConfig) -> None:
     if not keep.any():
         raise ValueError("test split is empty")
 
-    stats = [s.stats for s in shards]
-    dim = shards[0].dim
-    n_shards = len(shards)
+    dim = len(stats[0].centroid)
+    n_shards = len(stats)
     if model.input_dim != feature_dim(dim):
         raise ValueError(
             f"{cfg.model_path}: model takes {model.input_dim} features, "
@@ -339,9 +367,9 @@ def cmd_eval(cfg: RunConfig) -> None:
     # selection's merged top-k holds every naive hit from a selected shard
     # (it ranks no lower among fewer candidates) and none from the others,
     # so its recall is the selected shards' share of the naive top-k.
-    hit_counts = _read_hits(cfg, qids, shards)[keep]
+    hit_counts = _read_hits(cfg, qids, shard_ids, stats)[keep]
     qids, qvecs = qids[keep], qvecs[keep]
-    returned = np.array([min(cfg.k, s.stats.count) for s in shards])
+    returned = np.array([min(cfg.k, s.count) for s in stats])
 
     # Feature assembly and the router run over stacks of whole queries, at
     # most 256 rows each (one query's rows if it has more), which bounds
@@ -400,9 +428,7 @@ def cmd_eval(cfg: RunConfig) -> None:
     latency_block = summarize_latency(route_latencies, float(np.median(samples)))
 
     report, files = _report(cfg, traces, latency_block)
-    files[cfg.traces_path] = (
-        "\n".join(json.dumps(t, sort_keys=True) for t in traces) + "\n"
-    ).encode()
+    files[cfg.traces_path] = [(json.dumps(t, sort_keys=True) + "\n").encode() for t in traces]
     _write_all(files)
 
     agg = report["aggregate"]

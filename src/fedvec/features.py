@@ -73,13 +73,12 @@ def fit_scaler(rows: np.ndarray) -> ScalerParams:
     return ScalerParams(mean=mean, std=std)
 
 
-def transform(params: ScalerParams, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Standardize one row (f,) or a matrix (n, f), into `out` if given (it
-    may be `rows` itself)."""
+def transform(params: ScalerParams, rows: np.ndarray) -> np.ndarray:
+    """Standardize one row (f,) or a matrix (n, f) into a new array."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.shape[-1] != params.mean.shape[0]:
         raise ValueError("feature width does not match scaler")
-    out = np.subtract(rows, params.mean, out=out)
+    out = rows - params.mean
     out /= params.std
     return out
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .datasets import SplitSpec, split_by_query
 from .features import ScalerParams, feature_dim, fit_scaler, transform
 from .rng import substream
 
@@ -394,45 +393,40 @@ def _flat_views(flat: np.ndarray, input_dim: int) -> RouterParams:
 
 
 def train(
-    features: np.ndarray,
-    labels: np.ndarray,
-    query_ids: np.ndarray,
-    split: SplitSpec,
+    x_train: np.ndarray,
+    y_train: np.ndarray,
+    x_val: np.ndarray,
+    y_val: np.ndarray,
     config: TrainConfig,
     seed: int,
 ) -> TrainResult:
-    """Train on the split's train questions, checkpointing on val accuracy.
+    """Train on the training rows, checkpointing on validation accuracy.
 
-    Row i is raw feature row features[i] (n, f) of question query_ids[i],
-    labelled labels[i] (1 iff the shard holds part of the global top-k).
-    The scaler and the default pos_weight are fit on the training split only.
-    The returned model is the epoch checkpoint with the highest validation
-    accuracy at threshold 0.5 (earliest epoch wins ties), its float32
-    parameters upcast to float64. A run whose loss or weights stop being
-    finite ends in ValueError.
+    Each split is raw feature rows (n, f), one label per row (1 iff the
+    shard holds part of the query's global top-k). The scaler and the
+    default pos_weight are fit on the training rows only; neither input is
+    modified. The returned model is the epoch checkpoint with the highest
+    validation accuracy at threshold 0.5 (earliest epoch wins ties), its
+    float32 parameters upcast to float64. A run whose loss or weights stop
+    being finite ends in ValueError.
     """
-    x_raw = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    qids = np.asarray(query_ids, dtype=np.int64)
-    if x_raw.ndim != 2 or x_raw.shape[0] == 0:
-        raise ValueError("no training examples")
-    if not np.isin(y, (0.0, 1.0)).all():
+    x_tr = np.asarray(x_train, dtype=np.float64)
+    x_val = np.asarray(x_val, dtype=np.float64)
+    y_tr = np.asarray(y_train, dtype=np.float64)
+    y_val = np.asarray(y_val, dtype=np.float64)
+    if (x_tr.ndim != 2 or x_val.ndim != 2 or x_tr.shape[1] != x_val.shape[1]
+            or y_tr.shape != x_tr.shape[:1] or y_val.shape != x_val.shape[:1]):
+        raise ValueError("need (n, f) feature rows of one width and a label per row")
+    if not np.isin(y_tr, (0.0, 1.0)).all() or not np.isin(y_val, (0.0, 1.0)).all():
         raise ValueError("labels must be 0 or 1")
-
-    train_q, val_q, _ = split_by_query(qids, split, seed)
-    in_train = np.isin(qids, sorted(train_q))
-    in_val = np.isin(qids, sorted(val_q))
-    if not in_train.any():
+    if x_tr.shape[0] == 0:
         raise ValueError("training split is empty")
-    if not in_val.any():
+    if x_val.shape[0] == 0:
         raise ValueError("validation split is empty")
-    y_tr = y[in_train]
     if y_tr.min() == y_tr.max():
         raise ValueError("training split has a single class")
 
-    x_tr = x_raw[in_train]
     scaler = fit_scaler(x_tr)
-    transform(scaler, x_tr, out=x_tr)
 
     # SGD and validation run in float32. The float64 initial draw is rounded
     # once, and each split is cast (then checked) right after it is
@@ -443,11 +437,8 @@ def train(
     init = init_params(input_dim, substream(seed, "init"))
     flat = np.concatenate([getattr(init, name).ravel() for name in _PARAM_ORDER], dtype=np.float32)
     params = _flat_views(flat, input_dim)
-    x_tr = _checked_rows(params, x_tr)
-    x_val = x_raw[in_val]
-    transform(scaler, x_val, out=x_val)
-    x_val = _checked_rows(params, x_val)
-    y_val = y[in_val]
+    x_tr = _checked_rows(params, transform(scaler, x_tr))
+    x_val = _checked_rows(params, transform(scaler, x_val))
 
     n_pos = int(y_tr.sum())
     pos_weight = (

@@ -2,6 +2,7 @@
 
 import argparse
 import copy
+import errno
 import inspect
 import json
 import os
@@ -152,16 +153,19 @@ class TestPipeline:
         assert zero_latency((out / "traces.jsonl").read_text()) == traces_before
 
     def test_eval_reads_no_labels(self, pipeline, tmp_path):
-        """eval takes its hit counts and shard order from hits.npy alone:
-        with labels.npy gone it writes the same report files and traces."""
+        """train and eval take their hit counts and shard order from hits.npy
+        alone: with labels.npy gone, train writes the same model and log and
+        eval the same report files and traces."""
         out = tmp_path / "run"
         shutil.copytree(pipeline / "run", out)
         (out / "labels.npy").unlink()
-        for name in REPORT_FILES + ["traces.jsonl"]:
+        rebuilt = REPORT_FILES + ["router.rrm", "training_log.csv"]
+        for name in rebuilt + ["traces.jsonl"]:
             (out / name).unlink()
         (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
-        assert run(tmp_path, "--config", "cfg.json", "eval") == 0
-        for name in REPORT_FILES:
+        for command in ("train", "eval"):
+            assert run(tmp_path, "--config", "cfg.json", command) == 0, command
+        for name in rebuilt:
             assert (out / name).read_bytes() == (pipeline / "run" / name).read_bytes(), name
         traces = (pipeline / "run" / "traces.jsonl").read_text()
         assert zero_latency((out / "traces.jsonl").read_text()) == zero_latency(traces)
@@ -471,6 +475,23 @@ class TestFailures:
         assert not (out / "traces.jsonl").exists()
         assert not (out / "report.json").exists()
 
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        """A write that fails part-way, as on a full disk, takes the files
+        written before it and its own half-written .tmp with it."""
+
+        class DiskFull(list):
+            def __iter__(self):
+                yield b"partial"
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        (tmp_path / "kept.txt").write_text("kept")
+        before = file_snapshot(tmp_path)
+        out = tmp_path / "out"
+        files = {out / "a.bin": b"a", out / "b.bin": DiskFull(), out / "c.bin": b"c"}
+        with pytest.raises(OSError, match="No space left on device"):
+            fedvec.cli._write_all(files)
+        assert file_snapshot(tmp_path) == before
+
     def test_missing_traces_for_report(self, tmp_path, capsys):
         (tmp_path / "cfg.json").write_text(json.dumps({"out": "run"}))
         assert run(tmp_path, "--config", "cfg.json", "report") == 2
@@ -591,32 +612,65 @@ class TestFailures:
 
     def test_train_without_labels(self, tmp_path, capsys):
         (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
+        assert run(tmp_path, "--config", "cfg.json", "synth") == 0
         assert run(tmp_path, "--config", "cfg.json", "train") == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: cannot read labels run/labels.npy: ")
+        assert err.startswith("error: cannot read hit counts run/hits.npy: ")
         assert err.endswith("; run label first\n")
 
     def test_labels_without_table_fields(self, tmp_path, capsys):
-        (tmp_path / "run").mkdir()
-        np.save(tmp_path / "run" / "labels.npy", np.zeros(5))
+        """A hits.npy of another record layout."""
         (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
+        assert run(tmp_path, "--config", "cfg.json", "synth") == 0
+        np.save(tmp_path / "run" / "hits.npy", np.zeros(5))
         assert run(tmp_path, "--config", "cfg.json", "train") == 2
         err = capsys.readouterr().err
-        assert "error:" in err and "['features', 'label', 'query_id']" in err
+        assert err.startswith("error: run/hits.npy: expected records ")
+        assert err.endswith("; rerun label\n")
+        assert not (tmp_path / "run" / "router.rrm").exists()
 
-    def test_non_finite_feature_in_labels(self, tmp_path, capsys):
-        """One NaN feature in a training row, then in a validation row."""
+    def test_train_rejects_hits_of_another_k(self, tmp_path, capsys):
+        """Counts labelled at k 3 split each query's top-3, not the config's
+        top-10: train exits 2 and writes nothing."""
+        (tmp_path / "cfg.json").write_text(json.dumps({**CONFIG, "k": 10}))
+        assert run(tmp_path, "--config", "cfg.json", "synth") == 0
+        assert run(tmp_path, "--config", "cfg.json", "--k", "3", "label") == 0
+        before = file_snapshot(tmp_path)
+        assert run(tmp_path, "--config", "cfg.json", "train") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: run/hits.npy: ")
+        assert err.endswith("rerun label at k=10\n")
+        assert file_snapshot(tmp_path) == before
+
+    def test_train_rejects_hits_of_other_queries(self, tmp_path, capsys):
+        """synth reruns with 90 training queries after label counted 80:
+        train exits 2 and writes nothing."""
         (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
         for command in ("synth", "label"):
             assert run(tmp_path, "--config", "cfg.json", command) == 0
-        labels_path = tmp_path / "run" / "labels.npy"
-        clean = np.load(labels_path)
-        for split_queries in split_by_query(clean["query_id"], SplitSpec(), CONFIG["seed"])[:2]:
-            table = clean.copy()
-            table["features"][np.isin(table["query_id"], sorted(split_queries)).argmax(), 2] = np.nan
-            np.save(labels_path, table)
+        more = {**CONFIG, "synthetic": {**CONFIG["synthetic"], "n_train_queries": 90}}
+        (tmp_path / "cfg.json").write_text(json.dumps(more))
+        assert run(tmp_path, "--config", "cfg.json", "synth") == 0
+        before = file_snapshot(tmp_path)
+        assert run(tmp_path, "--config", "cfg.json", "train") == 2
+        assert capsys.readouterr().err == (
+            "error: run/hits.npy: query ids differ from run/queries_train.fvr; rerun label\n"
+        )
+        assert file_snapshot(tmp_path) == before
+
+    def test_non_finite_feature_in_labels(self, tmp_path, capsys):
+        """One NaN coordinate in a training query, then in a validation one."""
+        (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
+        for command in ("synth", "label"):
+            assert run(tmp_path, "--config", "cfg.json", command) == 0
+        queries = tmp_path / "run" / "queries_train.fvr"
+        qids, clean = read_vectors(queries)
+        for split_queries in split_by_query(qids, SplitSpec(), CONFIG["seed"])[:2]:
+            qvecs = clean.copy()
+            qvecs[np.isin(qids, sorted(split_queries)).argmax(), 2] = np.nan
+            queries.write_bytes(vector_file_bytes(qids, qvecs))
             assert run(tmp_path, "--config", "cfg.json", "train") == 2
-            assert "error: non-finite input" in capsys.readouterr().err
+            assert "error: non-finite feature value" in capsys.readouterr().err
             assert not (tmp_path / "run" / "router.rrm").exists()
 
     def test_out_of_range_train_config(self, tmp_path, capsys):
@@ -641,19 +695,22 @@ class TestFailures:
         assert not (tmp_path / "run" / "router.rrm").exists()
 
     def test_labels_outside_zero_one(self, tmp_path, capsys):
-        """Positives set to 2, then negatives set to -1."""
+        """train labels a pair 1 iff its hit count is positive, so no label
+        falls outside 0 and 1; a negative count is rejected before that."""
         (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
         for command in ("synth", "label"):
             assert run(tmp_path, "--config", "cfg.json", command) == 0
-        labels_path = tmp_path / "run" / "labels.npy"
-        clean = np.load(labels_path)
-        for old, new in ((1, 2), (0, -1)):
-            table = clean.copy()
-            table["label"][table["label"] == old] = new
-            np.save(labels_path, table)
-            assert run(tmp_path, "--config", "cfg.json", "train") == 2
-            assert capsys.readouterr().err == "error: labels must be 0 or 1\n"
-            assert not (tmp_path / "run" / "router.rrm").exists()
+        hits_path = tmp_path / "run" / "hits.npy"
+        hits = np.load(hits_path)
+        hits["shard_1"][5] += hits["shard_0"][5] + 1
+        hits["shard_0"][5] = -1
+        np.save(hits_path, hits)
+        assert run(tmp_path, "--config", "cfg.json", "train") == 2
+        assert capsys.readouterr().err == (
+            "error: run/hits.npy: counts do not split each query's top-3 over the shards; "
+            "rerun label at k=3\n"
+        )
+        assert not (tmp_path / "run" / "router.rrm").exists()
 
     def test_diverging_training(self, tmp_path, capsys):
         """A learning rate of 1e30 overflows the weights in the first epoch:
@@ -672,18 +729,19 @@ class TestFailures:
         assert not (tmp_path / "run" / "training_log.csv").exists()
 
     def test_standardized_value_beyond_float32(self, tmp_path, capsys):
-        """Feature 0 is constant over the training rows, so its std is
-        floored at 1e-8, and one validation row sits 1e31 away: it
-        standardizes to 1e39, finite in float64 but not in float32."""
+        """Coordinate 0 is 0.5 in every query, so feature 0 is constant over
+        the training rows and its std is floored at 1e-8, and one validation
+        query's sits 1e31 away: it standardizes to 1e39, finite in float64
+        but not in float32."""
         (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
         for command in ("synth", "label"):
             assert run(tmp_path, "--config", "cfg.json", command) == 0
-        labels_path = tmp_path / "run" / "labels.npy"
-        table = np.load(labels_path)
-        _, val_q, _ = split_by_query(table["query_id"], SplitSpec(), CONFIG["seed"])
-        table["features"][:, 0] = 0.5
-        table["features"][np.isin(table["query_id"], sorted(val_q)).argmax(), 0] = 0.5 + 1e31
-        np.save(labels_path, table)
+        queries = tmp_path / "run" / "queries_train.fvr"
+        qids, qvecs = read_vectors(queries)
+        _, val_q, _ = split_by_query(qids, SplitSpec(), CONFIG["seed"])
+        qvecs[:, 0] = 0.5
+        qvecs[np.isin(qids, sorted(val_q)).argmax(), 0] = 0.5 + 1e31
+        queries.write_bytes(vector_file_bytes(qids, qvecs))
         assert run(tmp_path, "--config", "cfg.json", "train") == 2
         assert "error: non-finite input" in capsys.readouterr().err
         assert not (tmp_path / "run" / "router.rrm").exists()

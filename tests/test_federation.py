@@ -23,6 +23,7 @@ from fedvec.federation import (
 from fedvec.features import assemble_features, feature_rows
 from fedvec.router import TrainConfig, predict_batch, train
 from fedvec.store import SCREEN_BUDGET, ScoredHit, build_index
+from test_router_train import split_rows
 
 
 def make_shards(n_shards=3, per_shard=5, dim=3, seed=11, id_base=100):
@@ -111,8 +112,9 @@ class TestDecisions:
         rng = np.random.default_rng(31)
         queries = rng.standard_normal((40, 4))
         table, _ = generate_labels(shards, np.arange(len(queries)), queries, k=5)
-        model = train(table["features"], table["label"], table["query_id"],
-                      SplitSpec(0.5, 0.25, 0.25), TrainConfig(epochs=2), 1).model
+        rows = split_rows(table["features"], table["label"], table["query_id"],
+                          SplitSpec(0.5, 0.25, 0.25), 1)
+        model = train(*rows, TrainConfig(epochs=2), 1).model
         stats = [s.stats for s in shards]
         block = feature_rows(queries, stats)
         for qid, q in enumerate(queries):

@@ -38,6 +38,18 @@ SPLIT = SplitSpec(train_frac=0.5, val_frac=0.25, test_frac=0.25)
 SEED = 5
 
 
+def split_rows(features, labels, query_ids, split, seed):
+    """train()'s inputs from one table of rows: the rows and labels of the
+    split's train queries, then of its validation queries, each in table
+    order, as `fedvec train` builds them."""
+    features, labels = np.asarray(features), np.asarray(labels)
+    rows = []
+    for split_q in split_by_query(query_ids, split, seed)[:2]:
+        keep = np.isin(query_ids, sorted(split_q))
+        rows += [features[keep], labels[keep]]
+    return rows
+
+
 def toy_examples(n_queries=60, seed=7):
     """(features, labels, query_ids) with two rows per query, separable on
     feature 0 with a 2.0-wide margin.
@@ -56,7 +68,7 @@ def toy_examples(n_queries=60, seed=7):
 @pytest.fixture(scope="module")
 def toy_result():
     config = TrainConfig(epochs=8, batch_size=16, dropout_rate=0.1)
-    return train(*toy_examples(), SPLIT, config, SEED)
+    return train(*split_rows(*toy_examples(), SPLIT, SEED), config, SEED)
 
 
 class TestCyclicLr:
@@ -97,7 +109,9 @@ class TestTraining:
 
     def test_bitwise_deterministic(self, toy_result):
         again = train(
-            *toy_examples(), SPLIT, TrainConfig(epochs=8, batch_size=16, dropout_rate=0.1), SEED
+            *split_rows(*toy_examples(), SPLIT, SEED),
+            TrainConfig(epochs=8, batch_size=16, dropout_rate=0.1),
+            SEED,
         )
         assert again.history == toy_result.history
         assert serialize_model(again.model) == serialize_model(toy_result.model)
@@ -105,14 +119,10 @@ class TestTraining:
     def test_default_pos_weight_equals_neg_over_pos(self, toy_result):
         """pos_weight=None must train identically to passing the train-split
         negative/positive ratio explicitly, recounted here by hand."""
-        features, labels, qids = toy_examples()
-        train_q, _, _ = split_by_query(qids, SPLIT, SEED)
-        counts = Counter(labels[np.isin(qids, sorted(train_q))].tolist())
+        rows = split_rows(*toy_examples(), SPLIT, SEED)
+        counts = Counter(rows[1].tolist())
         explicit = train(
-            features,
-            labels,
-            qids,
-            SPLIT,
+            *rows,
             TrainConfig(epochs=8, batch_size=16, dropout_rate=0.1,
                         pos_weight=counts[0] / counts[1]),
             SEED,
@@ -121,27 +131,39 @@ class TestTraining:
 
     def test_input_validation(self):
         cfg = TrainConfig(epochs=2, batch_size=8)
-        with pytest.raises(ValueError, match="no training examples"):
-            train([], [], [], SPLIT, cfg, SEED)
+        rows = split_rows(*toy_examples(), SPLIT, SEED)
+        x_tr, y_tr, x_val, y_val = rows
+        with pytest.raises(ValueError, match="feature rows"):
+            train([], [], [], [], cfg, SEED)
+        with pytest.raises(ValueError, match="feature rows"):
+            train(x_tr, y_tr, x_val[:, 1:], y_val, cfg, SEED)
+        with pytest.raises(ValueError, match="feature rows"):
+            train(x_tr, y_tr[1:], x_val, y_val, cfg, SEED)
+        for labels in ((2 * y_tr, y_val), (y_tr, y_val - 1)):
+            with pytest.raises(ValueError, match="labels must be 0 or 1"):
+                train(x_tr, labels[0], x_val, labels[1], cfg, SEED)
         with pytest.raises(ValueError, match="positive"):
-            train(*toy_examples(), SPLIT, TrainConfig(epochs=0), SEED)
+            train(*rows, TrainConfig(epochs=0), SEED)
         with pytest.raises(ValueError, match="dropout"):
-            train(*toy_examples(), SPLIT, TrainConfig(dropout_rate=1.0), SEED)
+            train(*rows, TrainConfig(dropout_rate=1.0), SEED)
         with pytest.raises(ValueError, match="lr_min"):
-            train(*toy_examples(), SPLIT, TrainConfig(lr_min=0.0), SEED)
+            train(*rows, TrainConfig(lr_min=0.0), SEED)
         for momentum in (-0.1, 1.0, 3.0, math.nan):
             with pytest.raises(ValueError, match="momentum"):
-                train(*toy_examples(), SPLIT, TrainConfig(momentum=momentum), SEED)
+                train(*rows, TrainConfig(momentum=momentum), SEED)
         for pos_weight in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="pos_weight"):
-                train(*toy_examples(), SPLIT, TrainConfig(pos_weight=pos_weight), SEED)
+                train(*rows, TrainConfig(pos_weight=pos_weight), SEED)
         with pytest.raises(ValueError, match="cycle_length"):
-            train(*toy_examples(), SPLIT, TrainConfig(cycle_length=0), SEED)
+            train(*rows, TrainConfig(cycle_length=0), SEED)
+        with pytest.raises(ValueError, match="training split is empty"):
+            train(*split_rows(*toy_examples(), SplitSpec(0.0, 0.5, 0.5), SEED), cfg, SEED)
         with pytest.raises(ValueError, match="validation split is empty"):
-            train(*toy_examples(), SplitSpec(0.9, 0.0, 0.1), cfg, SEED)
+            train(*split_rows(*toy_examples(), SplitSpec(0.9, 0.0, 0.1), SEED), cfg, SEED)
         single = np.repeat(np.arange(12.0)[:, None], 4, axis=1)
         with pytest.raises(ValueError, match="single class"):
-            train(single, np.ones(12), np.arange(12), SplitSpec(0.5, 0.25, 0.25), cfg, 0)
+            train(*split_rows(single, np.ones(12), np.arange(12), SplitSpec(0.5, 0.25, 0.25), 0),
+                  cfg, 0)
 
 
 def floor_examples(n_queries=300, seed=11):
@@ -164,14 +186,11 @@ def reference_train(features, labels, query_ids, split, config, seed):
     step, momentum array by array, validation through one forward_cache over
     all validation rows. Returns (best params as float32, history, best
     epoch, floored training rows seen)."""
-    y = labels.astype(np.float64)
-    train_q, val_q, _ = split_by_query(query_ids, split, seed)
-    in_train = np.isin(query_ids, sorted(train_q))
-    in_val = np.isin(query_ids, sorted(val_q))
-    scaler = fit_scaler(features[in_train])
-    x_tr = transform(scaler, features[in_train]).astype(np.float32)
-    x_val = transform(scaler, features[in_val]).astype(np.float32)
-    y_tr, y_val = y[in_train], y[in_val]
+    raw_tr, y_tr, raw_val, y_val = split_rows(features, labels.astype(np.float64), query_ids,
+                                              split, seed)
+    scaler = fit_scaler(raw_tr)
+    x_tr = transform(scaler, raw_tr).astype(np.float32)
+    x_val = transform(scaler, raw_val).astype(np.float32)
     n_pos = y_tr.sum()
     pos_weight = (len(y_tr) - n_pos) / n_pos
 
@@ -254,7 +273,7 @@ class TestReusedBuffers:
         params, history, best_epoch, floored = reference_train(*data, split, config, 3)
         assert floored > 0
 
-        result = train(*data, split, config, 3)
+        result = train(*split_rows(*data, split, 3), config, 3)
         assert result.history == history
         assert result.best_epoch == best_epoch
         for name in _PARAM_ORDER:
@@ -262,29 +281,31 @@ class TestReusedBuffers:
             assert got.astype(np.float32).tobytes() == getattr(params, name).tobytes(), name
 
     def test_traced_peak_is_bounded_by_the_feature_matrix(self):
-        """train() holds the two splits and a few batch- or block-sized
-        buffers, never activations for every validation row.
+        """train() holds float32 standardized copies of the two splits (half
+        their bytes) and a few batch- or block-sized buffers, never
+        activations for every validation row.
 
         The shapes are the default pipeline's: 2000 questions x 10 shards x
-        67 features (10.2 MiB), 2000 validation rows. Measured traced peaks
-        with float32 training: 1.59-1.69x the feature matrix when validation
-        runs one block over all its rows (2000 x 256 floats per hidden
-        array), 0.75x with the blocked inference. A bound of 1.2x sits
-        between them with about 0.4x (4 MiB) of headroom either way.
+        67 features, of which the train and validation splits hold 6000 and
+        2000 rows (4.1 MiB together). Measured traced peaks with float32
+        training: 3.90x the two split matrices when validation runs one
+        block over all its rows (2000 x 256 floats per hidden array), 1.33x
+        with the blocked inference. A bound of 2x sits between them with
+        about 0.7x (2.7 MiB) of headroom below it.
         """
         rng = np.random.default_rng(0)
         features = rng.standard_normal((20000, 67))
         labels = (features[:, 0] > 0.8).astype(np.int64)
-        qids = np.arange(20000) // 10
-        split = SplitSpec()
-        assert np.isin(qids, sorted(split_by_query(qids, split, 1)[1])).sum() >= 2000
+        rows = split_rows(features, labels, np.arange(20000) // 10, SplitSpec(), 1)
+        assert len(rows[2]) >= 2000
+        splits = rows[0].nbytes + rows[2].nbytes
         tracemalloc.start()
         try:
-            train(features, labels, qids, split, TrainConfig(epochs=1), 1)
+            train(*rows, TrainConfig(epochs=1), 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.2 * features.nbytes, f"{peak / features.nbytes:.2f}x the feature matrix"
+        assert peak < 2.0 * splits, f"{peak / splits:.2f}x the two split matrices"
 
 
 class TestModelFile:
