@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -88,25 +87,23 @@ class RunConfig:
         return self.out / "traces.jsonl"
 
 
-_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "Path": str}
+_JSON_TYPES = {"int": int, "float": (int, float), "Path": str}
 # How a JSON value that fits a field's annotation becomes the field's value.
 _FROM_JSON = {"float": float, "Path": Path, "tuple[int, int]": tuple}
 
 
 def _json_type_ok(value, type_name: str) -> bool:
     """Whether a JSON value fits a config field annotated `type_name`. An
-    integer fits a float; a bool, Infinity or NaN fits no number; null fits
-    only `| None`."""
-    if value is None:
-        return type_name.endswith(" | None")
-    base = type_name.removesuffix(" | None")
-    if base == "tuple[int, int]":
+    integer fits a float within float's range; a bool, Infinity, NaN or null
+    fits no field."""
+    if type_name == "tuple[int, int]":
         return isinstance(value, list) and len(value) == 2 and all(
             _json_type_ok(v, "int") for v in value
         )
-    if isinstance(value, float) and not math.isfinite(value):
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[type_name]):
         return False
-    return not isinstance(value, bool) and isinstance(value, _JSON_TYPES[base])
+    # An int compares exactly, without the float() that a huge one overflows.
+    return type_name != "float" or abs(value) <= sys.float_info.max
 
 
 def _build(cls, doc, where: str):
@@ -126,7 +123,7 @@ def _build(cls, doc, where: str):
         elif not _json_type_ok(value, f.type):
             json_type = f.type.replace("Path", "str")  # a path is a JSON string
             raise ValueError(f"{where}: {f.name} must be {json_type}, got {json.dumps(value)}")
-        elif value is not None and (convert := _FROM_JSON.get(f.type.removesuffix(" | None"))):
+        elif convert := _FROM_JSON.get(f.type):
             values[f.name] = convert(value)
     try:
         return cls(**values)
@@ -186,14 +183,6 @@ def _read_queries(path: Path) -> tuple[np.ndarray, np.ndarray]:
     if np.unique(qids).size != qids.size:
         raise ValueError(f"{path}: duplicate query ids")
     return qids, qvecs
-
-
-def _read_npy(path: Path, what: str) -> np.ndarray:
-    """One of label's arrays, read from `path`."""
-    try:
-        return np.load(path)
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"cannot read {what} {path}: {exc}; run label first") from exc
 
 
 def _check_made_under(path: Path, made: str, stage: str, **values: tuple) -> None:
@@ -286,7 +275,10 @@ def _read_hits(cfg: RunConfig, qids: np.ndarray, shard_ids: list[int],
     shards in its order, list exactly these queries, and split each query's
     top-k, so no count is negative and each row sums to min(k, total rows)."""
     path = cfg.hits_path
-    hits = _read_npy(path, "hit counts")
+    try:
+        hits = np.load(path)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read hit counts {path}: {exc}; run label first") from exc
     want = _hits_dtype(shard_ids)
     if hits.dtype != want:
         raise ValueError(
@@ -417,17 +409,7 @@ def cmd_eval(cfg: RunConfig) -> None:
                    latency_ns=latency),
         ]
 
-    # Batch-32 inference figure: median of 100 timed runs on real feature rows.
-    pick = np.arange(32)
-    bench_rows = feature_rows(qvecs[pick % len(qids)], stats)[pick, pick % n_shards]
-    samples = []
-    for _ in range(100):
-        t0 = time.perf_counter_ns()
-        predict_batch(model, bench_rows)
-        samples.append(time.perf_counter_ns() - t0)
-    latency_block = summarize_latency(route_latencies, float(np.median(samples)))
-
-    report, files = _report(cfg, traces, latency_block)
+    report, files = _report(cfg, traces, summarize_latency(route_latencies))
     files[cfg.traces_path] = [(json.dumps(t, sort_keys=True) + "\n").encode() for t in traces]
     _write_all(files)
 

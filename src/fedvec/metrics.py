@@ -302,13 +302,12 @@ def render_report_files(report: dict, latency: dict | None = None) -> dict[str, 
     return files
 
 
-def summarize_latency(latencies_ns: Sequence[int], batch32_ns: float | None = None) -> dict:
-    """p50/p95 percentiles of per-query routing latency, plus the batch-32 figure."""
+def summarize_latency(latencies_ns: Sequence[int]) -> dict:
+    """p50/p95 percentiles of per-query routing latency."""
     arr = np.asarray(latencies_ns, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("no latency samples")
     return {
         "p50_ns": float(np.percentile(arr, 50)),
         "p95_ns": float(np.percentile(arr, 95)),
-        "batch32_inference_ns": batch32_ns,
     }

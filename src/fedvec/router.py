@@ -84,10 +84,8 @@ class RouterModel:
 class TrainConfig:
     lr_min: float = 1e-3
     lr_max: float = 5e-3
-    cycle_length: int | None = None  # half-cycle in steps; None = 2 epochs' worth
     epochs: int = 50
     batch_size: int = 128
-    pos_weight: float | None = None  # None = train-split negatives/positives
     dropout_rate: float = 0.2
     momentum: float = 0.9
 
@@ -100,12 +98,6 @@ class TrainConfig:
             raise ValueError("need 0 < lr_min <= lr_max")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if self.pos_weight is not None and not (
-            math.isfinite(self.pos_weight) and self.pos_weight > 0.0
-        ):
-            raise ValueError("pos_weight must be finite and positive")
-        if self.cycle_length is not None and self.cycle_length < 1:
-            raise ValueError("cycle_length must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -404,10 +396,11 @@ def train(
 
     Each split is raw feature rows (n, f), one label per row (1 iff the
     shard holds part of the query's global top-k). The scaler and the
-    default pos_weight are fit on the training rows only; neither input is
-    modified. The returned model is the epoch checkpoint with the highest
-    validation accuracy at threshold 0.5 (earliest epoch wins ties), its
-    float32 parameters upcast to float64. A run whose loss or weights stop
+    positive-class weight (negatives/positives) are fit on the training
+    rows only; neither input is modified. The learning rate's half-cycle is
+    two epochs' steps. The returned model is the epoch checkpoint with the
+    highest validation accuracy at threshold 0.5 (earliest epoch wins ties),
+    its float32 parameters upcast to float64. A run whose loss or weights stop
     being finite ends in ValueError.
     """
     x_tr = np.asarray(x_train, dtype=np.float64)
@@ -441,11 +434,7 @@ def train(
     x_val = _checked_rows(params, transform(scaler, x_val))
 
     n_pos = int(y_tr.sum())
-    pos_weight = (
-        config.pos_weight
-        if config.pos_weight is not None
-        else (y_tr.shape[0] - n_pos) / n_pos
-    )
+    pos_weight = (y_tr.shape[0] - n_pos) / n_pos
 
     flat_grads = np.empty_like(flat)
     grads = _flat_views(flat_grads, input_dim)
@@ -456,7 +445,7 @@ def train(
 
     n_tr = x_tr.shape[0]
     steps_per_epoch = math.ceil(n_tr / config.batch_size)
-    half_cycle = config.cycle_length or 2 * steps_per_epoch
+    half_cycle = 2 * steps_per_epoch
 
     history: list[EpochStats] = []
     best_acc = -1.0

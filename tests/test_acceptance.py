@@ -21,8 +21,8 @@ import numpy as np
 import pytest
 
 from fedvec.cli import main
-from fedvec.datasets import SplitSpec, split_by_query
-from fedvec.features import transform
+from fedvec.datasets import SplitSpec, import_shards, split_by_query
+from fedvec.features import feature_rows, transform
 from fedvec.federation import (
     federated_search,
     naive_search,
@@ -41,6 +41,7 @@ from fedvec.router import (
     predict_batch,
 )
 from fedvec.store import build_index, squared_distances
+from fedvec.vecio import read_vectors
 
 N_SHARDS = 10
 PER_SHARD = 1000
@@ -316,11 +317,19 @@ def test_criterion_5_cost_ordering_and_trace_consistency(bench, criterion):
     )
 
 
+def _query_rows(run: Path) -> tuple[np.ndarray, np.ndarray]:
+    """queries_train's ids and its feature rows over the manifest's shards,
+    (n_queries, n_shards, f): the rows labels.npy holds, built afresh."""
+    qids, qvecs = read_vectors(run / "queries_train.fvr")
+    stats = [s.stats for s in import_shards(run / "manifest.json")]
+    return qids, feature_rows(qvecs, stats)
+
+
 def test_criterion_6_batch32_inference_latency(bench, criterion):
     run = bench[0]
     model = load_model(run / "router.rrm")
-    table = np.load(run / "labels.npy")
-    rows = np.ascontiguousarray(table["features"][:32], dtype=np.float64)
+    _, rows = _query_rows(run)
+    rows = rows.reshape(-1, rows.shape[-1])[:32]
     predict_batch(model, rows)  # warm-up, outside the clock
     samples = []
     for _ in range(100):
@@ -355,10 +364,10 @@ def test_criterion_7_same_seed_runs_are_byte_identical(bench, criterion):
 def test_criterion_8_standardization_and_normalization(bench, criterion):
     run = bench[0]
     model = load_model(run / "router.rrm")
-    table = np.load(run / "labels.npy")
-    train_q, _, _ = split_by_query(table["query_id"], SplitSpec(), BENCH_SEED)
-    mask = np.isin(table["query_id"], sorted(train_q))
-    x = transform(model.scaler, np.asarray(table["features"][mask], dtype=np.float64))
+    qids, rows = _query_rows(run)
+    train_q, _, _ = split_by_query(qids, SplitSpec(), BENCH_SEED)
+    keep = np.isin(qids, sorted(train_q))
+    x = transform(model.scaler, rows[keep].reshape(-1, rows.shape[-1]))
 
     scaler_mean = float(np.abs(x.mean(axis=0)).max())
     scaler_std = float(np.abs(x.std(axis=0) - 1.0).max())

@@ -17,7 +17,7 @@ import fedvec.federation
 import fedvec.store
 from fedvec.cli import main
 from fedvec.datasets import SplitSpec, import_shards, split_by_query
-from fedvec.features import ScalerParams, feature_dim
+from fedvec.features import ScalerParams, feature_dim, feature_rows
 from fedvec.federation import federated_search, naive_search, route
 from fedvec.metrics import retrieval_recall
 from fedvec.router import RouterModel, init_params, load_model, serialize_model
@@ -95,12 +95,19 @@ class TestPipeline:
         assert (out / "queries_eval.fvr").exists()
 
     def test_label_table_shape(self, pipeline):
-        table = np.load(pipeline / "run" / "labels.npy")
+        out = pipeline / "run"
+        table = np.load(out / "labels.npy")
         assert table.shape == (80 * 3,)
         assert set(table.dtype.names) == {"query_id", "shard_id", "label", "features"}
         # feature layout is [query | centroid | distance | count | density]
         assert table["features"].shape == (240, 2 * 4 + 3)
         assert set(np.unique(table["label"])) <= {0, 1}
+        # The rows are feature_rows of queries_train over the manifest's
+        # shards, bit for bit, so a reader may build them instead.
+        _, qvecs = read_vectors(out / "queries_train.fvr")
+        stats = [s.stats for s in import_shards(out / "manifest.json")]
+        rows = feature_rows(qvecs, stats).reshape(240, -1)
+        assert table["features"].tobytes() == rows.astype("<f8").tobytes()
 
     def test_label_writes_hit_counts(self, pipeline):
         """hits.npy: one record per queries_train query in file order, a field
@@ -138,6 +145,7 @@ class TestPipeline:
             "mean_auc", "mean_recall", "routed_query_fraction",
         }
         assert "latency" not in report
+        assert set(json.loads((out / "latency.json").read_text())) == {"p50_ns", "p95_ns"}
 
     def test_eval_is_byte_idempotent_outside_latency(self, pipeline):
         out = pipeline / "run"
@@ -287,7 +295,10 @@ class TestFailures:
             ({"train": {"momentum": "0.9"}}, "momentum must be float"),
             ({"train": {"dropout_rate": True}}, "dropout_rate must be float"),
             ({"train": {"epochs": None}}, "epochs must be int, got null"),
-            ({"train": {"cycle_length": 2.5}}, "cycle_length must be int | None"),
+            # train derives these from its rows; they are not config fields.
+            ({"train": {"pos_weight": 2.0}}, "unexpected keyword argument 'pos_weight'"),
+            ({"train": {"cycle_length": 4}}, "unexpected keyword argument 'cycle_length'"),
+            ({"manifest": None}, "bad config: manifest must be str, got null"),
             ({"k": [10]}, "bad config: k must be int, got [10]"),
             ({"k": 10.0}, "bad config: k must be int"),
             ({"seed": True}, "bad config: seed must be int"),
@@ -304,10 +315,13 @@ class TestFailures:
             ({"split": {"seed": "1"}}, "unexpected keyword argument 'seed'"),
             # Python's json reads Infinity and NaN; no float field takes them.
             ({"train": {"lr_max": float("inf")}}, "lr_max must be float, got Infinity"),
-            ({"train": {"pos_weight": float("nan")}}, "pos_weight must be float | None, got NaN"),
             ({"split": {"val_frac": float("-inf")}}, "val_frac must be float, got -Infinity"),
             ({"synthetic": {"center_radius": float("nan")}}, "center_radius must be float, got NaN"),
             ({"threshold": float("nan")}, "bad config: threshold must be float, got NaN"),
+            # An integer beyond float's range fits no float field.
+            ({"threshold": 10**400}, f"error: bad config: threshold must be float, got {10**400}"),
+            ({"train": {"lr_max": 10**400}},
+             f"bad 'train' config block: lr_max must be float, got {10**400}"),
         ]
         for doc, message in cases:
             (tmp_path / "cfg.json").write_text(json.dumps(doc))
@@ -332,8 +346,7 @@ class TestFailures:
         doc = {
             "threshold": 1,
             "synthetic": {"center_radius": 8, "points_per_cluster": [200, 800]},
-            "train": {"lr_min": 1, "lr_max": 2, "momentum": 0, "cycle_length": None,
-                      "pos_weight": None},
+            "train": {"lr_min": 1, "lr_max": 2, "momentum": 0},
             "split": {"train_frac": 1, "val_frac": 0, "test_frac": 0},
         }
         (tmp_path / "cfg.json").write_text(json.dumps(doc))
@@ -343,7 +356,6 @@ class TestFailures:
         assert cfg.threshold == 1.0 and cfg.synthetic.center_radius == 8
         # A float field holds a float, whatever JSON number the file gives.
         assert type(cfg.threshold) is float and type(cfg.train.lr_min) is float
-        assert cfg.train.cycle_length is None and cfg.train.pos_weight is None
         assert cfg.split.train_frac == 1
 
     @pytest.mark.parametrize("command", ["synth", "import", "label", "train", "eval", "report"])

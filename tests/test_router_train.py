@@ -4,7 +4,6 @@ import math
 import struct
 import tracemalloc
 import zlib
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -116,19 +115,6 @@ class TestTraining:
         assert again.history == toy_result.history
         assert serialize_model(again.model) == serialize_model(toy_result.model)
 
-    def test_default_pos_weight_equals_neg_over_pos(self, toy_result):
-        """pos_weight=None must train identically to passing the train-split
-        negative/positive ratio explicitly, recounted here by hand."""
-        rows = split_rows(*toy_examples(), SPLIT, SEED)
-        counts = Counter(rows[1].tolist())
-        explicit = train(
-            *rows,
-            TrainConfig(epochs=8, batch_size=16, dropout_rate=0.1,
-                        pos_weight=counts[0] / counts[1]),
-            SEED,
-        )
-        assert serialize_model(explicit.model) == serialize_model(toy_result.model)
-
     def test_input_validation(self):
         cfg = TrainConfig(epochs=2, batch_size=8)
         rows = split_rows(*toy_examples(), SPLIT, SEED)
@@ -151,11 +137,6 @@ class TestTraining:
         for momentum in (-0.1, 1.0, 3.0, math.nan):
             with pytest.raises(ValueError, match="momentum"):
                 train(*rows, TrainConfig(momentum=momentum), SEED)
-        for pos_weight in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ValueError, match="pos_weight"):
-                train(*rows, TrainConfig(pos_weight=pos_weight), SEED)
-        with pytest.raises(ValueError, match="cycle_length"):
-            train(*rows, TrainConfig(cycle_length=0), SEED)
         with pytest.raises(ValueError, match="training split is empty"):
             train(*split_rows(*toy_examples(), SplitSpec(0.0, 0.5, 0.5), SEED), cfg, SEED)
         with pytest.raises(ValueError, match="validation split is empty"):
