@@ -252,11 +252,11 @@ def cmd_label(cfg: RunConfig) -> None:
 
     _write_all({cfg.labels_path: table, cfg.hits_path: hits})
 
-    n_pos = int(table["label"].sum())
-    per_query = table["label"].reshape(len(qids), len(shards)).sum(axis=1)
+    per_query = (counts > 0).sum(axis=1)
+    n_pos = int(per_query.sum())
     print(
-        f"label: {len(table)} rows ({len(qids)} queries x {len(shards)} shards), "
-        f"{n_pos} positive ({100.0 * n_pos / len(table):.1f}%), "
+        f"label: {counts.size} rows ({len(qids)} queries x {len(shards)} shards), "
+        f"{n_pos} positive ({100.0 * n_pos / counts.size:.1f}%), "
         f"mean relevant shards/query {per_query.mean():.2f}"
     )
 
@@ -307,8 +307,7 @@ def _train_rows(cfg: RunConfig) -> list[np.ndarray]:
     qids, qvecs = _read_queries(cfg.queries_train)
     counts = _read_hits(cfg, qids, shard_ids, stats)
     rows = []
-    for split_q in split_by_query(qids, cfg.split, cfg.seed)[:2]:
-        keep = np.isin(qids, sorted(split_q))
+    for keep in split_by_query(qids, cfg.split, cfg.seed)[:2]:
         x = feature_rows(qvecs[keep], stats)
         rows += [x.reshape(-1, x.shape[-1]), (counts[keep] > 0).ravel()]
     return rows
@@ -337,24 +336,31 @@ def cmd_eval(cfg: RunConfig) -> None:
     shard_ids, stats = _shard_stats(cfg)
     model = load_model(cfg.model_path)
     qids, qvecs = _read_queries(cfg.queries_train)
-    _, _, test_q = split_by_query(qids, cfg.split, cfg.seed)
-    keep = np.isin(qids, sorted(test_q))
+    train_split, _, keep = split_by_query(qids, cfg.split, cfg.seed)
     if not keep.any():
         raise ValueError("test split is empty")
 
     dim = len(stats[0].centroid)
     n_shards = len(stats)
-    if model.input_dim != feature_dim(dim):
-        raise ValueError(
-            f"{cfg.model_path}: model takes {model.input_dim} features, "
-            f"shards of dim {dim} give {feature_dim(dim)}"
-        )
-    # The split is drawn from the seed: another seed's test queries include
-    # the model's training queries. route() selects with the model's
-    # threshold: scoring another one would report selections that serving
-    # never makes.
+    chunk = max(1, 256 // n_shards)
+    # The model's scaler mean is the mean of its train split's feature rows,
+    # so this run's train split gives it back only under the seed, split,
+    # queries and shards the model was trained on (another width gives
+    # another shape). The rows are summed a stack at a time, which bounds
+    # memory; rtol covers a constant column, whose std is floored at 1e-8.
+    train_q = qvecs[train_split]
+    total = np.zeros(feature_dim(dim))
+    for lo in range(0, len(train_q), chunk):
+        total += feature_rows(train_q[lo : lo + chunk], stats).sum(axis=(0, 1))
+    mean = total / max(1, len(train_q) * n_shards)
+    if not (train_split.any() and mean.shape == model.scaler.mean.shape and np.allclose(
+            mean, model.scaler.mean, rtol=1e-9, atol=1e-9 * model.scaler.std)):
+        raise ValueError(f"{cfg.model_path}: not trained on this run's train split "
+                         "(seed, split, queries or shards differ); rerun label and train")
+    # route() selects with the model's threshold: scoring another one would
+    # report selections that serving never makes.
     _check_made_under(cfg.model_path, "trained with", "train",
-                      seed=(model.seed, cfg.seed), threshold=(model.threshold, cfg.threshold))
+                      threshold=(model.threshold, cfg.threshold))
     # label's counts of each query's naive top-k hits per shard. A
     # selection's merged top-k holds every naive hit from a selected shard
     # (it ranks no lower among fewer candidates) and none from the others,
@@ -368,7 +374,6 @@ def cmd_eval(cfg: RunConfig) -> None:
     # memory; a query's feature rows and probabilities have the bits of its
     # own call, and its routing latency is its stack's time shared equally.
     n_q = len(qids)
-    chunk = max(1, 256 // n_shards)
     probabilities = np.empty((n_q, n_shards))
     route_latencies: list[int] = []
     for lo in range(0, n_q, chunk):

@@ -183,24 +183,24 @@ class SplitSpec:
 
 def split_by_query(
     query_ids: np.ndarray, spec: SplitSpec, seed: int
-) -> tuple[set[int], set[int], set[int]]:
-    """Disjoint train/val/test query-id sets, deterministic under seed.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Disjoint train/val/test boolean masks over `query_ids`, in their
+    order, deterministic under seed.
 
-    Every (query, shard) row for one question lands in the same partition, so
-    no question leaks across splits. Fraction rounding lands within +-1 query.
+    The draw shuffles the distinct ids, so every row of one question lands in
+    the same partition whatever its position, and no question leaks across
+    splits. Fraction rounding lands within +-1 query.
     """
-    unique = np.unique(np.asarray(query_ids, dtype=np.int64))
+    unique, inverse = np.unique(np.asarray(query_ids, dtype=np.int64), return_inverse=True)
     q = unique.shape[0]
     if q < 10:
         raise ValueError("need at least 10 distinct query ids to split")
     perm = substream(seed, "split").permutation(q)
-    shuffled = unique[perm]
     n_train = int(round(spec.train_frac * q))
-    n_val = min(int(round(spec.val_frac * q)), q - n_train)
-    train = set(map(int, shuffled[:n_train]))
-    val = set(map(int, shuffled[n_train : n_train + n_val]))
-    test = set(map(int, shuffled[n_train + n_val :]))
-    return train, val, test
+    val_end = n_train + min(int(round(spec.val_frac * q)), q - n_train)
+    # Each row's id's place in the shuffled order of the distinct ids.
+    place = np.argsort(perm)[inverse]
+    return place < n_train, (n_train <= place) & (place < val_end), place >= val_end
 
 
 def import_shards(manifest_path: str | Path) -> list[ShardIndex]:

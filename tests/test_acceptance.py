@@ -365,8 +365,7 @@ def test_criterion_8_standardization_and_normalization(bench, criterion):
     run = bench[0]
     model = load_model(run / "router.rrm")
     qids, rows = _query_rows(run)
-    train_q, _, _ = split_by_query(qids, SplitSpec(), BENCH_SEED)
-    keep = np.isin(qids, sorted(train_q))
+    keep, _, _ = split_by_query(qids, SplitSpec(), BENCH_SEED)
     x = transform(model.scaler, rows[keep].reshape(-1, rows.shape[-1]))
 
     scaler_mean = float(np.abs(x.mean(axis=0)).max())

@@ -47,6 +47,11 @@ def run(tmp, *argv):
         os.chdir(cwd)
 
 
+NOT_TRAINED_HERE = (
+    "error: run/router.rrm: not trained on this run's train split "
+    "(seed, split, queries or shards differ); rerun label and train\n"
+)
+
 REPORT_FILES = ["report.json", "summary.csv", "recall_by_shard.csv", "queries_by_strategy.csv"]
 
 
@@ -393,10 +398,61 @@ class TestFailures:
         before = file_snapshot(tmp_path)
         seed = CONFIG["seed"] + 1
         assert run(tmp_path, "--config", "cfg.json", "--seed", str(seed), "eval") == 2
-        assert capsys.readouterr().err == (
-            f"error: run/router.rrm: trained with seed {CONFIG['seed']}, not {seed}; rerun train\n"
-        )
+        assert capsys.readouterr().err == NOT_TRAINED_HERE
         assert file_snapshot(tmp_path) == before
+
+    def test_eval_rejects_model_of_another_split(self, pipeline, tmp_path, capsys):
+        """A test split of 0.8 takes in about 16 of the model's training
+        queries."""
+        shutil.copytree(pipeline, tmp_path, dirs_exist_ok=True)
+        doc = {**CONFIG, "split": {"train_frac": 0.1, "val_frac": 0.1, "test_frac": 0.8}}
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        before = file_snapshot(tmp_path)
+        assert run(tmp_path, "--config", "cfg.json", "eval") == 2
+        assert capsys.readouterr().err == NOT_TRAINED_HERE
+        assert file_snapshot(tmp_path) == before
+
+    def test_eval_rejects_model_of_other_queries(self, pipeline, tmp_path, capsys):
+        """synth reruns with noisier queries and label does not: the query
+        ids, and so hits.npy's, are unchanged, but the model and the counts
+        belong to the old queries."""
+        shutil.copytree(pipeline, tmp_path, dirs_exist_ok=True)
+        noisy = {**CONFIG, "synthetic": {**CONFIG["synthetic"], "query_noise": 2.0}}
+        (tmp_path / "cfg.json").write_text(json.dumps(noisy))
+        assert run(tmp_path, "--config", "cfg.json", "synth") == 0
+        capsys.readouterr()
+        before = file_snapshot(tmp_path)
+        assert run(tmp_path, "--config", "cfg.json", "eval") == 2
+        assert capsys.readouterr().err == NOT_TRAINED_HERE
+        assert file_snapshot(tmp_path) == before
+
+    def test_eval_rejects_model_of_other_shards(self, pipeline, tmp_path, capsys):
+        """One shard file replaced by another seed's after train."""
+        shutil.copytree(pipeline, tmp_path, dirs_exist_ok=True)
+        assert run(tmp_path, "--config", "cfg.json", "--seed", "0", "--out", "other", "synth") == 0
+        capsys.readouterr()
+        shard = "shards/shard_001.fvr"
+        assert (tmp_path / "other" / shard).read_bytes() != (tmp_path / "run" / shard).read_bytes()
+        shutil.copy(tmp_path / "other" / shard, tmp_path / "run" / shard)
+        shutil.rmtree(tmp_path / "other")
+        before = file_snapshot(tmp_path)
+        assert run(tmp_path, "--config", "cfg.json", "eval") == 2
+        assert capsys.readouterr().err == NOT_TRAINED_HERE
+        assert file_snapshot(tmp_path) == before
+
+    def test_eval_accepts_model_with_a_constant_feature(self, tmp_path):
+        """Coordinate 0 is 0.3 in every query, so feature 0 is constant over
+        the train split and its stored std is floored at 1e-8: eval's sum of
+        the split's rows must still give the model's mean back."""
+        (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
+        assert run(tmp_path, "--config", "cfg.json", "synth") == 0
+        queries = tmp_path / "run" / "queries_train.fvr"
+        qids, qvecs = read_vectors(queries)
+        qvecs[:, 0] = 0.3
+        queries.write_bytes(vector_file_bytes(qids, qvecs))
+        for command in ("label", "train", "eval"):
+            assert run(tmp_path, "--config", "cfg.json", command) == 0, command
+        assert load_model(tmp_path / "run" / "router.rrm").scaler.std[0] == 1e-8
 
     def test_eval_rejects_model_of_another_threshold(self, pipeline, tmp_path, capsys):
         """route() selects with the model's threshold, so eval at another
@@ -677,9 +733,9 @@ class TestFailures:
             assert run(tmp_path, "--config", "cfg.json", command) == 0
         queries = tmp_path / "run" / "queries_train.fvr"
         qids, clean = read_vectors(queries)
-        for split_queries in split_by_query(qids, SplitSpec(), CONFIG["seed"])[:2]:
+        for in_split in split_by_query(qids, SplitSpec(), CONFIG["seed"])[:2]:
             qvecs = clean.copy()
-            qvecs[np.isin(qids, sorted(split_queries)).argmax(), 2] = np.nan
+            qvecs[in_split.argmax(), 2] = np.nan
             queries.write_bytes(vector_file_bytes(qids, qvecs))
             assert run(tmp_path, "--config", "cfg.json", "train") == 2
             assert "error: non-finite feature value" in capsys.readouterr().err
@@ -750,9 +806,9 @@ class TestFailures:
             assert run(tmp_path, "--config", "cfg.json", command) == 0
         queries = tmp_path / "run" / "queries_train.fvr"
         qids, qvecs = read_vectors(queries)
-        _, val_q, _ = split_by_query(qids, SplitSpec(), CONFIG["seed"])
+        _, in_val, _ = split_by_query(qids, SplitSpec(), CONFIG["seed"])
         qvecs[:, 0] = 0.5
-        qvecs[np.isin(qids, sorted(val_q)).argmax(), 0] = 0.5 + 1e31
+        qvecs[in_val.argmax(), 0] = 0.5 + 1e31
         queries.write_bytes(vector_file_bytes(qids, qvecs))
         assert run(tmp_path, "--config", "cfg.json", "train") == 2
         assert "error: non-finite input" in capsys.readouterr().err
@@ -780,14 +836,14 @@ class TestFailures:
         (tmp_path / "run" / "router.rrm").write_bytes(serialize_model(model))
 
         def no_scan(*args):
-            raise AssertionError("eval scanned shards")
+            raise AssertionError("eval scanned shards or read hits.npy")
 
         for module in (fedvec.store, fedvec.federation, fedvec.cli):
-            for name in ("search_batch", "search_top_k", "naive_hit_counts"):
+            for name in ("search_batch", "search_top_k", "naive_hit_counts", "_read_hits"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, no_scan)
         assert run(tmp_path, "--config", "cfg.json", "eval") == 2
-        assert "model takes 13 features, shards of dim 4 give 11" in capsys.readouterr().err
+        assert capsys.readouterr().err == NOT_TRAINED_HERE
 
     def test_eval_rejects_malformed_hits(self, tmp_path, capsys):
         """eval reads label's hits.npy instead of scanning: a missing file,

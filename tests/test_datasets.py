@@ -201,15 +201,26 @@ class TestSynthetic:
 class TestSplit:
     def test_exact_partition_of_100(self):
         qids = np.repeat(np.arange(100), 3)  # several rows per query
-        train, val, test = split_by_query(qids, SplitSpec(), 0)
-        assert (len(train), len(val), len(test)) == (30, 10, 60)
-        assert train | val | test == set(range(100))
-        assert not (train & val or train & test or val & test)
+        masks = np.array(split_by_query(qids, SplitSpec(), 0))
+        assert masks.shape == (3, 300) and masks.dtype == bool
+        assert (masks.sum(axis=0) == 1).all()  # each row in exactly one split
+        assert [len(set(qids[m])) for m in masks] == [30, 10, 60]
+        # Every row of one query falls in the same split.
+        assert (masks.reshape(3, 100, 3) == masks[:, ::3, None]).all()
+
+    def test_split_follows_the_id_not_its_position(self):
+        qids = np.repeat(np.arange(100), 3)
+        order = np.random.default_rng(1).permutation(len(qids))
+        masks = split_by_query(qids, SplitSpec(), 0)
+        for mask, permuted in zip(masks, split_by_query(qids[order], SplitSpec(), 0)):
+            np.testing.assert_array_equal(permuted, mask[order])
 
     def test_deterministic(self):
         qids = np.arange(40)
-        assert split_by_query(qids, SplitSpec(), 5) == split_by_query(qids, SplitSpec(), 5)
-        assert split_by_query(qids, SplitSpec(), 5) != split_by_query(qids, SplitSpec(), 6)
+        same = zip(split_by_query(qids, SplitSpec(), 5), split_by_query(qids, SplitSpec(), 5))
+        assert all(np.array_equal(a, b) for a, b in same)
+        other = zip(split_by_query(qids, SplitSpec(), 5), split_by_query(qids, SplitSpec(), 6))
+        assert not all(np.array_equal(a, b) for a, b in other)
 
     def test_too_few_queries(self):
         with pytest.raises(ValueError, match="at least 10"):
