@@ -2,8 +2,11 @@
 
 Architecture (fixed): affine -> LayerNorm -> ReLU -> Dropout, twice
 (widths 256 then 128), then an affine head producing one raw logit.
-Training is SGD with momentum under a triangular cyclic learning rate,
-minimizing binary cross-entropy with logits and a positive-class weight.
+Training has one fixed recipe: SGD with momentum MOMENTUM on batches of
+BATCH_SIZE rows under a triangular cyclic learning rate between LR_MIN and
+LR_MAX, dropout DROPOUT_RATE after each hidden layer, minimizing binary
+cross-entropy with logits and a positive-class weight. Only the number of
+epochs is set by the caller.
 
 The forward and backward passes run in the parameters' dtype. Training runs
 its SGD steps and validation in float32 on float32 copies of the
@@ -28,6 +31,11 @@ from .rng import substream
 HIDDEN1 = 256
 HIDDEN2 = 128
 LN_EPS = 1e-5
+LR_MIN = 1e-3
+LR_MAX = 5e-3
+BATCH_SIZE = 128
+DROPOUT_RATE = 0.2
+MOMENTUM = 0.9
 # Eval-mode inference runs its rows in blocks of this many, the last block
 # taking the remainder (so n >= 256 rows make n // 128 blocks of 128..255).
 # Blocks start at multiples of 128 because BLAS groups rows from a block's
@@ -71,7 +79,6 @@ _PARAM_ORDER = tuple(_param_shapes(1))
 class RouterModel:
     params: RouterParams
     scaler: ScalerParams
-    dropout_rate: float
     threshold: float
     seed: int
 
@@ -82,22 +89,11 @@ class RouterModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    lr_min: float = 1e-3
-    lr_max: float = 5e-3
     epochs: int = 50
-    batch_size: int = 128
-    dropout_rate: float = 0.2
-    momentum: float = 0.9
 
     def __post_init__(self) -> None:
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
-        if not 0.0 < self.lr_min <= self.lr_max:
-            raise ValueError("need 0 < lr_min <= lr_max")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
+        if self.epochs < 1:
+            raise ValueError("epochs must be positive")
 
 
 @dataclass(frozen=True)
@@ -397,8 +393,12 @@ def train(
     Each split is raw feature rows (n, f), one label per row (1 iff the
     shard holds part of the query's global top-k). The scaler and the
     positive-class weight (negatives/positives) are fit on the training
-    rows only; neither input is modified. The learning rate's half-cycle is
-    two epochs' steps. The returned model is the epoch checkpoint with the
+    rows only; neither input is modified. Each epoch steps through the
+    shuffled rows in batches of BATCH_SIZE, the last one short. The learning
+    rate cycles between LR_MIN and LR_MAX with a half-cycle of two epochs'
+    steps, and the momentum is MOMENTUM. Every step draws its two
+    DROPOUT_RATE masks, the first layer's then the second's, from the one
+    dropout stream. The returned model is the epoch checkpoint with the
     highest validation accuracy at threshold 0.5 (earliest epoch wins ties),
     its float32 parameters upcast to float64. A run whose loss or weights stop
     being finite ends in ValueError.
@@ -444,7 +444,7 @@ def train(
     dropout_rng = substream(seed, "dropout")
 
     n_tr = x_tr.shape[0]
-    steps_per_epoch = math.ceil(n_tr / config.batch_size)
+    steps_per_epoch = math.ceil(n_tr / BATCH_SIZE)
     half_cycle = 2 * steps_per_epoch
 
     history: list[EpochStats] = []
@@ -457,30 +457,28 @@ def train(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(1, config.epochs + 1):
             perm = shuffle_rng.permutation(n_tr)
-            lr_start = cyclic_lr(step, config.lr_min, config.lr_max, half_cycle)
+            lr_start = cyclic_lr(step, LR_MIN, LR_MAX, half_cycle)
             loss_sum = 0.0
-            for lo in range(0, n_tr, config.batch_size):
-                batch = perm[lo : lo + config.batch_size]
+            for lo in range(0, n_tr, BATCH_SIZE):
+                batch = perm[lo : lo + BATCH_SIZE]
                 yb = y_tr[batch]
-                lr = cyclic_lr(step, config.lr_min, config.lr_max, half_cycle)
-                masks = None
-                if config.dropout_rate > 0.0:  # m1, then m2, from the one dropout stream
-                    masks = tuple(
-                        _dropout_mask((len(batch), h), config.dropout_rate, dropout_rng, flat.dtype)
-                        for h in (HIDDEN1, HIDDEN2)
-                    )
+                lr = cyclic_lr(step, LR_MIN, LR_MAX, half_cycle)
+                masks = tuple(
+                    _dropout_mask((len(batch), h), DROPOUT_RATE, dropout_rng, flat.dtype)
+                    for h in (HIDDEN1, HIDDEN2)
+                )
                 cache = forward_cache(params, x_tr[batch], masks)
                 loss_sum += bce_with_logits(cache.logits, yb, pos_weight) * len(batch)
                 backward(params, cache, yb, pos_weight, out=grads)
-                velocity *= config.momentum
+                velocity *= MOMENTUM
                 velocity += flat_grads
                 flat -= lr * velocity
                 step += 1
-            lr_end = cyclic_lr(step - 1, config.lr_min, config.lr_max, half_cycle)
+            lr_end = cyclic_lr(step - 1, LR_MIN, LR_MAX, half_cycle)
 
             train_loss = loss_sum / n_tr
             if not (math.isfinite(train_loss) and np.isfinite(flat).all()):
-                raise ValueError(f"training diverged at epoch {epoch} (loss {train_loss!r}); lower lr_max")
+                raise ValueError(f"training diverged at epoch {epoch} (loss {train_loss!r})")
 
             val_acc = float(np.mean((forward(params, x_val) >= 0.0) == (y_val == 1.0)))
             history.append(EpochStats(epoch, train_loss, val_acc, lr_start, lr_end))
@@ -492,7 +490,6 @@ def train(
     model = RouterModel(
         params=_flat_views(best_flat.astype(np.float64), input_dim),
         scaler=scaler,
-        dropout_rate=config.dropout_rate,
         threshold=0.5,
         seed=seed,
     )
@@ -510,6 +507,7 @@ def predict_batch(model: RouterModel, rows: np.ndarray) -> np.ndarray:
 # Model file: magic "RRM1" | u32 version | u32 input_dim | u32 d | u32 h1 |
 # u32 h2 | f64 dropout | f64 threshold | i64 seed | float64 arrays (scaler
 # mean, scaler std, then _PARAM_ORDER, C order) | u32 CRC32 of all prior bytes.
+# The dropout slot holds DROPOUT_RATE; inference never reads it.
 # ---------------------------------------------------------------------------
 
 MODEL_MAGIC = b"RRM1"
@@ -529,7 +527,7 @@ def serialize_model(model: RouterModel) -> bytes:
             d,
             HIDDEN1,
             HIDDEN2,
-            model.dropout_rate,
+            DROPOUT_RATE,
             model.threshold,
             model.seed,
         )
@@ -575,7 +573,6 @@ def load_model(path) -> RouterModel:
     return RouterModel(
         params=params,
         scaler=scaler,
-        dropout_rate=dropout,
         threshold=threshold,
         seed=seed,
     )

@@ -14,6 +14,7 @@ import pytest
 
 import fedvec.cli
 import fedvec.federation
+import fedvec.router
 import fedvec.store
 from fedvec.cli import main
 from fedvec.datasets import SplitSpec, import_shards, split_by_query
@@ -34,7 +35,7 @@ CONFIG = {
         "n_train_queries": 80,
         "n_eval_queries": 10,
     },
-    "train": {"epochs": 4, "batch_size": 32},
+    "train": {"epochs": 4},
 }
 
 
@@ -296,13 +297,19 @@ class TestFailures:
             ([1, 2], "is not a JSON object"),
             # A value of the wrong JSON type is rejected before any command runs.
             ({"train": {"epochs": "2"}}, "bad 'train' config block: epochs must be int"),
-            ({"train": {"batch_size": 64.5, "epochs": 1}}, "batch_size must be int, got 64.5"),
-            ({"train": {"momentum": "0.9"}}, "momentum must be float"),
-            ({"train": {"dropout_rate": True}}, "dropout_rate must be float"),
+            ({"synthetic": {"n_train_queries": 64.5}}, "n_train_queries must be int, got 64.5"),
+            ({"synthetic": {"query_noise": "0.9"}}, "query_noise must be float"),
+            ({"split": {"val_frac": True}}, "val_frac must be float"),
             ({"train": {"epochs": None}}, "epochs must be int, got null"),
             # train derives these from its rows; they are not config fields.
             ({"train": {"pos_weight": 2.0}}, "unexpected keyword argument 'pos_weight'"),
             ({"train": {"cycle_length": 4}}, "unexpected keyword argument 'cycle_length'"),
+            # The training recipe is fixed in the router; these are not config fields either.
+            ({"train": {"lr_min": 0.001}}, "unexpected keyword argument 'lr_min'"),
+            ({"train": {"lr_max": 0.005}}, "unexpected keyword argument 'lr_max'"),
+            ({"train": {"batch_size": 128}}, "unexpected keyword argument 'batch_size'"),
+            ({"train": {"dropout_rate": 0.2}}, "unexpected keyword argument 'dropout_rate'"),
+            ({"train": {"momentum": 0.9}}, "unexpected keyword argument 'momentum'"),
             ({"manifest": None}, "bad config: manifest must be str, got null"),
             ({"k": [10]}, "bad config: k must be int, got [10]"),
             ({"k": 10.0}, "bad config: k must be int"),
@@ -319,14 +326,15 @@ class TestFailures:
             # Blocks take no seed (test_block_seed_is_rejected).
             ({"split": {"seed": "1"}}, "unexpected keyword argument 'seed'"),
             # Python's json reads Infinity and NaN; no float field takes them.
-            ({"train": {"lr_max": float("inf")}}, "lr_max must be float, got Infinity"),
+            ({"synthetic": {"cluster_spread": float("inf")}},
+             "cluster_spread must be float, got Infinity"),
             ({"split": {"val_frac": float("-inf")}}, "val_frac must be float, got -Infinity"),
             ({"synthetic": {"center_radius": float("nan")}}, "center_radius must be float, got NaN"),
             ({"threshold": float("nan")}, "bad config: threshold must be float, got NaN"),
             # An integer beyond float's range fits no float field.
             ({"threshold": 10**400}, f"error: bad config: threshold must be float, got {10**400}"),
-            ({"train": {"lr_max": 10**400}},
-             f"bad 'train' config block: lr_max must be float, got {10**400}"),
+            ({"split": {"train_frac": 10**400}},
+             f"bad 'split' config block: train_frac must be float, got {10**400}"),
         ]
         for doc, message in cases:
             (tmp_path / "cfg.json").write_text(json.dumps(doc))
@@ -350,8 +358,8 @@ class TestFailures:
     def test_config_accepts_ints_for_floats_and_null_defaults(self, tmp_path):
         doc = {
             "threshold": 1,
-            "synthetic": {"center_radius": 8, "points_per_cluster": [200, 800]},
-            "train": {"lr_min": 1, "lr_max": 2, "momentum": 0},
+            "synthetic": {"center_radius": 8, "cluster_spread": 2, "query_noise": 0,
+                          "points_per_cluster": [200, 800]},
             "split": {"train_frac": 1, "val_frac": 0, "test_frac": 0},
         }
         (tmp_path / "cfg.json").write_text(json.dumps(doc))
@@ -360,7 +368,8 @@ class TestFailures:
         cfg = fedvec.cli.load_config(args)
         assert cfg.threshold == 1.0 and cfg.synthetic.center_radius == 8
         # A float field holds a float, whatever JSON number the file gives.
-        assert type(cfg.threshold) is float and type(cfg.train.lr_min) is float
+        assert type(cfg.threshold) is float and type(cfg.synthetic.cluster_spread) is float
+        assert type(cfg.synthetic.query_noise) is float
         assert cfg.split.train_frac == 1
 
     @pytest.mark.parametrize("command", ["synth", "import", "label", "train", "eval", "report"])
@@ -375,8 +384,8 @@ class TestFailures:
             ({**CONFIG, "threshold": 1.5}, [], "bad config: threshold must be in [0, 1]"),
             ({**CONFIG, "synthetic": {**CONFIG["synthetic"], "n_clusters": 0}}, [],
              "bad 'synthetic' config block: synthetic spec fields must be positive"),
-            ({**CONFIG, "train": {**CONFIG["train"], "lr_min": 0}}, [],
-             "bad 'train' config block: need 0 < lr_min <= lr_max"),
+            ({**CONFIG, "train": {**CONFIG["train"], "epochs": 0}}, [],
+             "bad 'train' config block: epochs must be positive"),
             ({**CONFIG, "split": {"train_frac": 0.5}}, [],
              "bad 'split' config block: split fractions must be nonnegative and sum to 1"),
             (CONFIG, ["--k", "0"], "bad config: k must be >= 1"),
@@ -745,10 +754,10 @@ class TestFailures:
         (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
         for command in ("synth", "label"):
             assert run(tmp_path, "--config", "cfg.json", command) == 0
-        bad = {**CONFIG, "train": {**CONFIG["train"], "momentum": 3.0}}
+        bad = {**CONFIG, "train": {**CONFIG["train"], "epochs": 0}}
         (tmp_path / "cfg.json").write_text(json.dumps(bad))
         assert run(tmp_path, "--config", "cfg.json", "train") == 2
-        assert ("error: bad 'train' config block: momentum must be in [0, 1)"
+        assert ("error: bad 'train' config block: epochs must be positive"
                 in capsys.readouterr().err)
         assert not (tmp_path / "run" / "router.rrm").exists()
 
@@ -780,15 +789,19 @@ class TestFailures:
         )
         assert not (tmp_path / "run" / "router.rrm").exists()
 
-    def test_diverging_training(self, tmp_path, capsys):
+    def test_diverging_training(self, tmp_path, capsys, monkeypatch):
         """A learning rate of 1e30 overflows the weights in the first epoch:
         train ends in exit 2 with numpy's warnings as errors, and writes
-        neither the model nor the training log."""
+        neither the model nor the training log. Batches of 32 split the toy's
+        72 training rows into three steps, so the weights overflow within
+        epoch 1; in one batch of 128, epoch 1's loss is taken before its only
+        step."""
         (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
         for command in ("synth", "label"):
             assert run(tmp_path, "--config", "cfg.json", command) == 0
-        bad = {**CONFIG, "train": {**CONFIG["train"], "lr_min": 1e30, "lr_max": 1e30}}
-        (tmp_path / "cfg.json").write_text(json.dumps(bad))
+        monkeypatch.setattr(fedvec.router, "LR_MIN", 1e30)
+        monkeypatch.setattr(fedvec.router, "LR_MAX", 1e30)
+        monkeypatch.setattr(fedvec.router, "BATCH_SIZE", 32)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(tmp_path, "--config", "cfg.json", "train") == 2
@@ -829,7 +842,6 @@ class TestFailures:
         model = RouterModel(
             init_params(width, np.random.default_rng(0)),
             ScalerParams(np.zeros(width), np.ones(width)),
-            dropout_rate=0.2,
             threshold=0.5,
             seed=0,
         )

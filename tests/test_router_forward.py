@@ -97,7 +97,7 @@ class TestForward:
             arr = getattr(params, name)
             arr += 0.1 * rng.standard_normal(arr.shape)
         model = RouterModel(params, ScalerParams(rng.standard_normal(23), 0.5 + rng.random(23)),
-                            dropout_rate=0.2, threshold=0.5, seed=0)
+                            threshold=0.5, seed=0)
         for n in (0, 1, 10, 40, 255, 256, 300):
             stack = 2.0 * rng.standard_normal((7, n, 23))
             probs = predict_batch(model, stack)
