@@ -31,10 +31,10 @@ from .datasets import (
     kmeans_shard,
     split_by_query,
 )
-from .features import feature_dim, feature_rows
+from .features import ShardTable, feature_dim, feature_rows
 from .federation import generate_labels, select_shards, selection_cost
 from .metrics import csv_bytes, report_from_traces, render_report_files, summarize_latency
-from .router import TrainConfig, load_model, predict_batch, serialize_model, train
+from .router import TrainConfig, load_model, predict_standardized, serialize_model, train
 from .store import ShardStats
 from .store import search_top_k  # noqa: F401  (perfbench/selftest.py checks tracing wraps it here)
 from .vecio import manifest_bytes, read_vectors, vector_file_bytes
@@ -371,15 +371,17 @@ def cmd_eval(cfg: RunConfig) -> None:
 
     # Feature assembly and the router run over stacks of whole queries, at
     # most 256 rows each (one query's rows if it has more), which bounds
-    # memory; a query's feature rows and probabilities have the bits of its
-    # own call, and its routing latency is its stack's time shared equally.
+    # memory; a query's rows come from route()'s shard table and, like its
+    # probabilities, have the bits of its own call. Its routing latency is
+    # its stack's time shared equally.
+    table = ShardTable(model.scaler, stats)
     n_q = len(qids)
     probabilities = np.empty((n_q, n_shards))
     route_latencies: list[int] = []
     for lo in range(0, n_q, chunk):
         t0 = time.perf_counter_ns()
-        probabilities[lo : lo + chunk] = predict_batch(
-            model, feature_rows(qvecs[lo : lo + chunk], stats)
+        probabilities[lo : lo + chunk] = predict_standardized(
+            model.params, table.rows(qvecs[lo : lo + chunk])
         )
         elapsed = time.perf_counter_ns() - t0
         size = min(chunk, n_q - lo)

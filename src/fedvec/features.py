@@ -21,25 +21,44 @@ def feature_dim(d: int) -> int:
     return 2 * d + 3
 
 
-def feature_rows(queries: np.ndarray, stats: Sequence[ShardStats]) -> np.ndarray:
-    """Raw (unstandardized) feature rows for every (query, shard) pair: a
-    (Q, d) query matrix gives (Q, n_shards, 2d + 3)."""
-    queries = np.asarray(queries, dtype=np.float64)
-    # np.array, not np.stack: stacking 40 centroids costs more than the
-    # arithmetic below.
+def _centroids(stats: Sequence[ShardStats]) -> np.ndarray:
+    """The shards' centroids as one (n_shards, d) matrix."""
+    # np.array, not np.stack: stacking 40 centroids costs more than building
+    # a query's rows from them.
     centroids = np.array([s.centroid for s in stats], dtype=np.float64)
     if centroids.ndim != 2:
         raise ValueError("need one or more equal-length shard centroids")
-    if queries.ndim != 2 or queries.shape[1] != centroids.shape[1]:
-        raise ValueError(f"queries {queries.shape} do not match centroid dim {centroids.shape[1]}")
-    n_q, d = queries.shape
-    diff = queries[:, None, :] - centroids[None, :, :]
-    rows = np.empty((n_q, len(stats), feature_dim(d)))
+    return centroids
+
+
+def _sq_dists(queries: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(Q, n_shards) squared distances from each query to each centroid: the
+    one distance expression of the feature rows. An overflow gives inf, which
+    callers reject as non-finite."""
+    with np.errstate(over="ignore"):
+        diff = queries[:, None, :] - centroids[None, :, :]
+        # A stacked (1, d) @ (d, 1) product per pair gives the bits of a 1-D
+        # `diff @ diff`, whatever the number of queries or shards.
+        return np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0]
+
+
+def _checked_queries(queries: np.ndarray, d: int) -> np.ndarray:
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[1] != d:
+        raise ValueError(f"queries {queries.shape} do not match centroid dim {d}")
+    return queries
+
+
+def feature_rows(queries: np.ndarray, stats: Sequence[ShardStats]) -> np.ndarray:
+    """Raw (unstandardized) feature rows for every (query, shard) pair: a
+    (Q, d) query matrix gives (Q, n_shards, 2d + 3)."""
+    centroids = _centroids(stats)
+    n_shards, d = centroids.shape
+    queries = _checked_queries(queries, d)
+    rows = np.empty((queries.shape[0], n_shards, feature_dim(d)))
     rows[..., :d] = queries[:, None, :]
     rows[..., d : 2 * d] = centroids
-    # A stacked (1, d) @ (d, 1) product per pair gives the bits of a 1-D
-    # `diff @ diff`, whatever the number of queries or shards.
-    rows[..., 2 * d] = np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0]
+    rows[..., 2 * d] = _sq_dists(queries, centroids)
     rows[..., 2 * d + 1] = [float(s.count) for s in stats]
     rows[..., 2 * d + 2] = [s.density for s in stats]
     if not np.all(np.isfinite(rows)):
@@ -70,6 +89,10 @@ def fit_scaler(rows: np.ndarray) -> ScalerParams:
         raise ValueError("need at least two feature rows to fit a scaler")
     mean = rows.mean(axis=0)
     std = np.maximum(rows.std(axis=0), STD_FLOOR)
+    # Read-only, like a loaded model's: a ShardTable built from them stays
+    # the standardization they describe.
+    mean.setflags(write=False)
+    std.setflags(write=False)
     return ScalerParams(mean=mean, std=std)
 
 
@@ -82,3 +105,42 @@ def transform(params: ScalerParams, rows: np.ndarray) -> np.ndarray:
     out /= params.std
     return out
 
+
+class ShardTable:
+    """Standardized router rows for one scaler and one shard set.
+
+    Standardization is per column, so a row is built from parts: the shard
+    columns (centroid, count, density) are standardized once here, `rows`
+    standardizes the query columns once per query, and only the distance
+    column is computed per (query, shard) pair. The rows have the bits of
+    `transform(scaler, feature_rows(queries, stats))` for as long as the
+    scaler's and the centroids' arrays keep their values, and fedvec makes
+    them read-only.
+    """
+
+    def __init__(self, scaler: ScalerParams, stats: Sequence[ShardStats]) -> None:
+        self.scaler = scaler
+        self.stats = tuple(stats)
+        self._centroids = _centroids(self.stats)
+        # Any query's standardized rows, of which `rows` keeps the shard columns.
+        self._shard_rows = transform(scaler, feature_rows(self._centroids[:1], self.stats)[0])
+
+    def rows(self, queries: np.ndarray) -> np.ndarray:
+        """Standardized feature rows (Q, n_shards, 2d + 3) of a (Q, d) query
+        matrix; a non-finite query, or distance, is a ValueError."""
+        d = self._centroids.shape[1]
+        queries = _checked_queries(queries, d)
+        mean, std = self.scaler.mean, self.scaler.std
+        dist = _sq_dists(queries, self._centroids)
+        dist -= mean[2 * d]
+        dist /= std[2 * d]
+        # A non-finite query coordinate makes every distance non-finite.
+        if not np.isfinite(dist).all():
+            raise ValueError("non-finite feature value")
+        q = queries - mean[:d]
+        q /= std[:d]
+        out = np.empty((queries.shape[0],) + self._shard_rows.shape)
+        out[...] = self._shard_rows
+        out[..., :d] = q[:, None, :]
+        out[..., 2 * d] = dist
+        return out

@@ -8,13 +8,13 @@ depend on the order shards are searched in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import Sequence
 
 import numpy as np
 
-from .features import feature_dim, feature_rows
-from .router import RouterModel, predict_batch
+from .features import ShardTable, feature_dim, feature_rows
+from .router import RouterModel, predict_standardized
 from .store import (
     SCREEN_BUDGET,
     ScoredHit,
@@ -50,9 +50,30 @@ def select_shards(probabilities: np.ndarray, threshold: float) -> tuple[np.ndarr
     (selected (Q, n_shards) bool, fallback (Q,) bool)."""
     selected = probabilities >= threshold
     fallback = ~selected.any(axis=1)
-    if fallback.any():  # the indexing costs a served query a few µs; most never fall back
+    # count_nonzero is the cheapest test; the indexing costs a served query a
+    # few µs, and most never fall back.
+    if np.count_nonzero(fallback):
         selected[fallback, probabilities[fallback].argmax(axis=1)] = True
     return selected, fallback
+
+
+# route's one-entry memo: the model and the shard table of the last call.
+# The table holds that call's ShardStats, and the memo holds both strongly,
+# so no other object can take their ids while they are compared; the arrays
+# the table was built from are read-only.
+_last_table: tuple[RouterModel | None, ShardTable | None] = (None, None)
+
+
+def _shard_table(model: RouterModel, shard_stats: Sequence[ShardStats]) -> ShardTable:
+    """The shard table of `model`'s scaler over `shard_stats`: the last
+    call's when the model and every ShardStats are the same objects."""
+    global _last_table
+    held, table = _last_table
+    if (held is not model or len(table.stats) != len(shard_stats)
+            or not all(map(is_, table.stats, shard_stats))):
+        table = ShardTable(model.scaler, shard_stats)
+        _last_table = (model, table)
+    return table
 
 
 def route(
@@ -64,12 +85,15 @@ def route(
     """Select every shard whose predicted relevance clears the model's
     threshold.
 
-    At least one shard is always selected (argmax fallback), so m >= 1.
+    At least one shard is always selected (argmax fallback), so m >= 1. The
+    probabilities have the bits of `predict_batch` on the query's
+    `feature_rows`. The shard table is reused while the model and shard
+    stats stay the same objects, so the last model routed stays alive.
     """
     if not shard_stats:
         raise ValueError("no shards to route over")
-    rows = feature_rows(np.asarray(query)[None], shard_stats)[0]
-    probabilities = predict_batch(model, rows)
+    rows = _shard_table(model, shard_stats).rows(np.asarray(query)[None])[0]
+    probabilities = predict_standardized(model.params, rows)
     selected, fallback = select_shards(probabilities[None], model.threshold)
     return RoutingDecision(query_id, probabilities, selected[0], bool(fallback[0]))
 

@@ -128,15 +128,16 @@ def init_params(input_dim: int, rng: np.random.Generator) -> RouterParams:
     return RouterParams(**{name: init(name, shape) for name, shape in shapes.items()})
 
 
-def _layer_norm(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalization over the last axis; returns (xhat, 1/sqrt(max(var, eps))).
+def _layer_norm(a: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Normalization over the last axis; returns (xhat, 1/sqrt(max(var, eps))),
+    xhat written into `out` when given (which may be `a`).
 
     The ops are the ones np.mean and np.var run, so xhat has the bits of
     `(a - a.mean(-1)) * (1 / sqrt(max(a.var(-1), eps)))`, row by row
     whatever the leading axes.
     """
     h = a.shape[-1]
-    xh = a - a.sum(axis=-1, keepdims=True) / h
+    xh = np.subtract(a, a.sum(axis=-1, keepdims=True) / h, out=out)
     inv = _normalizer((xh * xh).sum(axis=-1, keepdims=True) / h)
     xh *= inv
     return xh, inv
@@ -195,37 +196,46 @@ def _checked_rows(params: RouterParams, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=params.w1.dtype)
     if x.ndim not in (2, 3) or x.shape[-1] != params.w1.shape[0]:
         raise ValueError(f"expected (b, {params.w1.shape[0]}) input, got {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("non-finite input")
     return x
 
 
+def _hidden(
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, g: np.ndarray, lb: np.ndarray,
+    m: np.ndarray | None, keep: bool,
+) -> tuple[np.ndarray, ...]:
+    """One hidden layer: affine, layer norm, gain and bias, ReLU, then the
+    dropout mask m unless None. Returns (a, xhat, inv, n, h). With `keep`
+    False every step after the GEMM writes into the GEMM's output, in the
+    same order, so a, xhat, n and h are that one array."""
+    # numpy's stacked matmul makes one BLAS call per set, so no GEMM mixes two sets' rows.
+    a = x @ w
+    a += b
+    out = None if keep else a
+    xh, inv = _layer_norm(a, out)
+    n = np.multiply(xh, g, out=out)
+    n += lb
+    h = np.maximum(n, 0.0, out=out)
+    if m is not None:
+        h *= m
+    return a, xh, inv, n, h
+
+
 def _forward(
-    params: RouterParams, x: np.ndarray, m1: np.ndarray | None, m2: np.ndarray | None
+    params: RouterParams, x: np.ndarray, m1: np.ndarray | None, m2: np.ndarray | None,
+    keep: bool = True,
 ) -> ForwardCache:
     """The forward pass of checked rows x (b, f) or stack x (q, b, f); m1/m2
     are the dropout masks or None. Each affine layer is one `@`; every other
-    step is elementwise or row-wise and runs once over all of x.
+    step is elementwise or row-wise and runs once over all of x. With `keep`
+    False each hidden layer runs in place (see _hidden), so only the cache's
+    logits, inv1 and inv2 are intermediates of their own.
     """
-    # numpy's stacked matmul makes one BLAS call per set, so no GEMM mixes two sets' rows.
-    a1 = x @ params.w1
-    a1 += params.b1
-    xh1, inv1 = _layer_norm(a1)
-    n1 = xh1 * params.ln_g1
-    n1 += params.ln_b1
-    h1 = np.maximum(n1, 0.0)
-    if m1 is not None:
-        h1 *= m1
-
-    a2 = h1 @ params.w2
-    a2 += params.b2
-    xh2, inv2 = _layer_norm(a2)
-    n2 = xh2 * params.ln_g2
-    n2 += params.ln_b2
-    h2 = np.maximum(n2, 0.0)
-    if m2 is not None:
-        h2 *= m2
-
+    a1, xh1, inv1, n1, h1 = _hidden(
+        x, params.w1, params.b1, params.ln_g1, params.ln_b1, m1, keep)
+    a2, xh2, inv2, n2, h2 = _hidden(
+        h1, params.w2, params.b2, params.ln_g2, params.ln_b2, m2, keep)
     logits = (h2 @ params.w3)[..., 0]
     logits += params.b3
     return ForwardCache(x, a1, xh1, inv1, n1, m1, h1, a2, xh2, inv2, n2, m2, h2, logits)
@@ -254,15 +264,16 @@ def forward(params: RouterParams, x: np.ndarray) -> np.ndarray:
     Every set's rows go through its GEMMs in blocks of INFER_BLOCK, the last
     block taking the remainder, so a set's logits have the same bits alone
     or in any stack. One block of rows of every set runs at a time, so a
-    stack's memory is bounded by its caller's stack size.
+    stack's memory is bounded by its caller's stack size. Each layer's steps
+    run in place in its GEMM's output, in `forward_cache`'s order, so the
+    logits have `forward_cache`'s bits.
     """
     x = _checked_rows(params, x)
     n = x.shape[-2]
     edges = [i * INFER_BLOCK for i in range(max(1, n // INFER_BLOCK))] + [n]
-    logits = np.empty(x.shape[:-1], params.w1.dtype)
-    for lo, hi in zip(edges, edges[1:]):
-        logits[..., lo:hi] = _forward(params, x[..., lo:hi, :], None, None).logits
-    return logits
+    logits = [_forward(params, x[..., lo:hi, :], None, None, keep=False).logits
+              for lo, hi in zip(edges, edges[1:])]
+    return logits[0] if len(logits) == 1 else np.concatenate(logits, axis=-1)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -496,11 +507,18 @@ def train(
     return TrainResult(model=model, history=history, best_epoch=best_epoch)
 
 
+def predict_standardized(params: RouterParams, x: np.ndarray) -> np.ndarray:
+    """Relevance probabilities for standardized feature rows x (n, f), or
+    (q, n) of them for a stack of row sets (q, n, f), each set's bits those
+    of its own call."""
+    return _sigmoid(forward(params, x))
+
+
 def predict_batch(model: RouterModel, rows: np.ndarray) -> np.ndarray:
     """Relevance probabilities for raw (unstandardized) feature rows (n, f),
     or (q, n) of them for a stack of row sets (q, n, f), each set's bits
     those of its own call."""
-    return _sigmoid(forward(model.params, transform(model.scaler, rows)))
+    return predict_standardized(model.params, transform(model.scaler, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +587,8 @@ def load_model(path) -> RouterModel:
     if not (np.isfinite(flat).all() and math.isfinite(dropout) and math.isfinite(threshold)):
         raise ValueError(f"{path}: non-finite value in the model")
     scaler = ScalerParams(mean=flat[:input_dim], std=flat[input_dim : 2 * input_dim])
+    scaler.mean.setflags(write=False)
+    scaler.std.setflags(write=False)
     params = _flat_views(flat[2 * input_dim :], input_dim)
     return RouterModel(
         params=params,

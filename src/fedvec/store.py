@@ -63,6 +63,8 @@ def shard_stats(vectors: np.ndarray) -> ShardStats:
     centroid = vectors.mean(axis=0)
     mean_dist = float(np.mean(np.sqrt(squared_distances(vectors, centroid))))
     density = 1.0 / (1.0 + mean_dist)
+    # Read-only like the index's arrays: a ShardTable reads it once.
+    centroid.setflags(write=False)
     return ShardStats(centroid, vectors.shape[0], density)
 
 

@@ -6,12 +6,14 @@ import pytest
 from fedvec.features import (
     STD_FLOOR,
     ScalerParams,
+    ShardTable,
     assemble_features,
     feature_dim,
     feature_rows,
     fit_scaler,
     transform,
 )
+from fedvec.router import RouterModel, init_params, load_model, serialize_model
 from fedvec.store import ShardStats, shard_stats
 
 
@@ -86,3 +88,48 @@ class TestScaler:
         params = ScalerParams(mean=np.zeros(3), std=np.ones(3))
         with pytest.raises(ValueError):
             transform(params, np.zeros(4))
+
+
+def random_stats(n_shards, dim, rng):
+    """Shards of 3..9 members around spread-out centers."""
+    return [shard_stats(rng.normal(5.0 * rng.standard_normal(dim), 1.0, (rng.integers(3, 10), dim)))
+            for _ in range(n_shards)]
+
+
+class TestShardTable:
+    @pytest.mark.parametrize("n_shards", [5, 260])
+    def test_rows_are_transform_of_feature_rows(self, n_shards):
+        """The table's rows have the bits of standardizing feature_rows, for
+        one query and for stacks of 7 and 25, over a few shards and over 260,
+        which forward splits into two blocks per set."""
+        rng = np.random.default_rng(n_shards)
+        stats = random_stats(n_shards, 6, rng)
+        scaler = fit_scaler(feature_rows(rng.normal(0.0, 5.0, (9, 6)), stats).reshape(-1, 15))
+        table = ShardTable(scaler, stats)
+        for n_q in (1, 7, 25):
+            queries = rng.normal(0.0, 5.0, (n_q, 6))
+            got = table.rows(queries)
+            assert got.shape == (n_q, n_shards, 15)
+            assert got.tobytes() == transform(scaler, feature_rows(queries, stats)).tobytes(), n_q
+
+    def test_rows_reject_non_finite_queries_and_distances(self):
+        stats = random_stats(3, 2, np.random.default_rng(2))
+        table = ShardTable(ScalerParams(np.zeros(7), np.ones(7)), stats)
+        for bad in ([np.nan, 0.0], [1e200, 0.0], [np.inf, 0.0]):
+            with pytest.raises(ValueError, match="non-finite"):
+                table.rows(np.array([[0.0, 1.0], bad]))
+        with pytest.raises(ValueError, match="do not match"):
+            table.rows(np.zeros((1, 3)))
+
+    def test_table_inputs_are_read_only(self, tmp_path):
+        """The arrays a table is built from cannot change under it: fedvec
+        makes a shard's centroid and a fit or loaded scaler read-only."""
+        rng = np.random.default_rng(4)
+        stats = shard_stats(rng.standard_normal((5, 2)))
+        scaler = fit_scaler(rng.standard_normal((6, 7)))
+        model = RouterModel(init_params(7, rng), scaler, threshold=0.5, seed=0)
+        (tmp_path / "m.rrm").write_bytes(serialize_model(model))
+        loaded = load_model(tmp_path / "m.rrm").scaler
+        for array in (stats.centroid, scaler.mean, scaler.std, loaded.mean, loaded.std):
+            with pytest.raises(ValueError, match="read-only"):
+                array += 1.0

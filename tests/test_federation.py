@@ -20,9 +20,9 @@ from fedvec.federation import (
     route,
     select_shards,
 )
-from fedvec.features import assemble_features, feature_rows
-from fedvec.router import TrainConfig, predict_batch, train
-from fedvec.store import SCREEN_BUDGET, ScoredHit, build_index
+from fedvec.features import assemble_features, feature_rows, fit_scaler
+from fedvec.router import RouterModel, TrainConfig, init_params, predict_batch, train
+from fedvec.store import SCREEN_BUDGET, ScoredHit, ShardStats, build_index
 from test_router_train import split_rows
 
 
@@ -125,6 +125,50 @@ class TestDecisions:
             selected, fallback = select_shards(d.probabilities[None], model.threshold)
             np.testing.assert_array_equal(d.selected, selected[0])
             assert d.fallback_used is bool(fallback[0])
+
+
+    def test_route_follows_the_model_and_every_shard_stats(self):
+        """route reuses its shard table only for the same model and the same
+        ShardStats objects: routing with model A, B, then A again, then over
+        a list (a new one, or the same one changed in place) with one shard
+        swapped, each call gives predict_batch's bits for what it was given."""
+        rng = np.random.default_rng(37)
+        stats = [s.stats for s in make_shards(n_shards=6, per_shard=20, dim=4, seed=37)]
+        queries = rng.standard_normal((5, 4))
+
+        def model(seed, scale):
+            rows = feature_rows(scale * rng.standard_normal((8, 4)), stats).reshape(-1, 11)
+            return RouterModel(init_params(11, np.random.default_rng(seed)), fit_scaler(rows),
+                               threshold=0.5, seed=seed)
+
+        def check(m, shard_stats):
+            for qid, q in enumerate(queries):
+                want = predict_batch(m, feature_rows(q[None], shard_stats)[0])
+                assert route(m, qid, q, shard_stats).probabilities.tobytes() == want.tobytes()
+
+        a, b = model(1, 1.0), model(2, 3.0)
+        for m in (a, b, a):
+            check(m, stats)
+        swapped = list(stats)
+        swapped[2] = ShardStats(stats[2].centroid + 4.0, stats[2].count + 1, stats[2].density / 2)
+        check(a, swapped)
+        stats[2] = swapped[2]
+        check(a, stats)
+
+    def test_route_rejects_non_finite_then_routes_the_next_query(self):
+        """A NaN coordinate, or one whose distance overflows, is a ValueError,
+        and the next query routes as if neither had been seen."""
+        shards = make_shards(n_shards=4, per_shard=10, dim=3, seed=41)
+        stats = [s.stats for s in shards]
+        rows = feature_rows(np.random.default_rng(41).standard_normal((6, 3)), stats)
+        model = RouterModel(init_params(9, np.random.default_rng(43)),
+                            fit_scaler(rows.reshape(-1, 9)), threshold=0.5, seed=0)
+        good = np.array([0.3, -0.2, 0.1])
+        for bad in ([np.nan, 0.0, 0.0], [1e200, 0.0, 0.0]):
+            with pytest.raises(ValueError, match="non-finite"):
+                route(model, 0, np.array(bad), stats)
+            got = route(model, 1, good, stats).probabilities
+            assert got.tobytes() == predict_batch(model, feature_rows(good[None], stats)[0]).tobytes()
 
 
 class TestMerge:
